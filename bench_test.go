@@ -1061,71 +1061,75 @@ func BenchmarkServing(b *testing.B) {
 		fields[i] = ds.Sample(i).Fields
 	}
 
-	var legacyRPS, serveRPS, p50ms, p99ms, meanBatch float64
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		// Phase 1: the legacy serial single-tile Segment path.
-		runtime.GC()
-		start := time.Now()
-		for i := 0; i < nReq; i++ {
-			legacySingleTileSegment(b, net, fields[i%len(fields)], tileHW, overlap)
+	// The legacy serial single-tile Segment path and the batched serving
+	// stack are sub-benchmarks of their own, so that each one's ns/op and
+	// allocs/op describe one path.
+	var legacyRPS float64
+	b.Run("serial", func(b *testing.B) {
+		for it := 0; it < b.N; it++ {
+			start := time.Now()
+			for i := 0; i < nReq; i++ {
+				legacySingleTileSegment(b, net, fields[i%len(fields)], tileHW, overlap)
+			}
+			legacyRPS = float64(nReq) / time.Since(start).Seconds()
 		}
-		legacyRPS = float64(nReq) / time.Since(start).Seconds()
-
-		// Phase 2: the batched serving stack under concurrent clients. The
-		// GC fence keeps phase 1's per-call allocation debt from being
-		// collected on phase 2's clock.
-		runtime.GC()
-		model, err := exaclim.BuildModel("tiramisu", exaclim.Tiny, exaclim.ModelConfig{
-			Height: tileHW, Width: tileHW, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		copyWeights(b, net, model)
-		srv, err := exaclim.NewServer(model,
-			exaclim.WithReplicas(1),
-			exaclim.WithMaxBatch(maxBatch),
-			exaclim.WithQueueDepth(256),
-			exaclim.WithBatchDeadline(200*time.Microsecond),
-			exaclim.WithServeSegmentConfig(exaclim.SegmentConfig{Overlap: overlap}),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		start = time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					if _, _, err := srv.Segment(context.Background(), fields[i%len(fields)]); err != nil {
-						b.Error(err)
-						return
+		b.ReportMetric(legacyRPS, "serial-req/s")
+	})
+	b.Run("batched", func(b *testing.B) {
+		var serveRPS, p50ms, p99ms, meanBatch float64
+		for it := 0; it < b.N; it++ {
+			model, err := exaclim.BuildModel("tiramisu", exaclim.Tiny, exaclim.ModelConfig{
+				Height: tileHW, Width: tileHW, Seed: 3,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			copyWeights(b, net, model)
+			srv, err := exaclim.NewServer(model,
+				exaclim.WithReplicas(1),
+				exaclim.WithMaxBatch(maxBatch),
+				exaclim.WithQueueDepth(256),
+				exaclim.WithBatchDeadline(200*time.Microsecond),
+				exaclim.WithServeSegmentConfig(exaclim.SegmentConfig{Overlap: overlap}),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			jobs := make(chan int)
+			start := time.Now()
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range jobs {
+						if _, _, err := srv.Segment(context.Background(), fields[i%len(fields)]); err != nil {
+							b.Error(err)
+							return
+						}
 					}
-				}
-			}()
+				}()
+			}
+			for i := 0; i < nReq; i++ {
+				jobs <- i
+			}
+			close(jobs)
+			wg.Wait()
+			serveRPS = float64(nReq) / time.Since(start).Seconds()
+			st := srv.Stats()
+			p50ms = st.LatencyP50.Seconds() * 1e3
+			p99ms = st.LatencyP99.Seconds() * 1e3
+			meanBatch = st.MeanBatch
+			srv.Close()
 		}
-		for i := 0; i < nReq; i++ {
-			jobs <- i
+		b.ReportMetric(serveRPS, "req/s")
+		if legacyRPS > 0 { // the serial sub-benchmark ran too
+			b.ReportMetric(serveRPS/legacyRPS, "batch-speedup")
 		}
-		close(jobs)
-		wg.Wait()
-		serveRPS = float64(nReq) / time.Since(start).Seconds()
-		st := srv.Stats()
-		p50ms = st.LatencyP50.Seconds() * 1e3
-		p99ms = st.LatencyP99.Seconds() * 1e3
-		meanBatch = st.MeanBatch
-		srv.Close()
-	}
-	b.ReportMetric(serveRPS, "req/s")
-	b.ReportMetric(legacyRPS, "serial-req/s")
-	b.ReportMetric(serveRPS/legacyRPS, "batch-speedup")
-	b.ReportMetric(p50ms, "p50-ms")
-	b.ReportMetric(p99ms, "p99-ms")
-	b.ReportMetric(meanBatch, "mean-batch")
+		b.ReportMetric(p50ms, "p50-ms")
+		b.ReportMetric(p99ms, "p99-ms")
+		b.ReportMetric(meanBatch, "mean-batch")
+	})
 }
 
 // copyWeights copies src's parameter tensors into the registry-built model

@@ -267,26 +267,31 @@ func kernelSummary(benches []Benchmark) *KernelSummary {
 	return &s
 }
 
-// servingSummary extracts the serving SLOs from a BenchmarkServing result
-// line, if one was parsed (nil otherwise).
+// servingSummary extracts the serving SLOs from the BenchmarkServing result
+// lines, if any were parsed (nil otherwise): the batched stack's line
+// carries the rates and quantiles, the serial path's sub-benchmark the
+// baseline rate.
 func servingSummary(benches []Benchmark) *ServingSummary {
+	var s ServingSummary
 	for _, b := range benches {
-		if !strings.HasPrefix(b.Name, "BenchmarkServing") || b.Metrics == nil {
+		if !strings.HasPrefix(b.Name, "BenchmarkServing") {
 			continue
 		}
-		if _, ok := b.Metrics["req/s"]; !ok {
-			continue
+		if v, ok := b.Metrics["serial-req/s"]; ok {
+			s.SerialReqPerSec = v
 		}
-		return &ServingSummary{
-			RequestsPerSec:  b.Metrics["req/s"],
-			SerialReqPerSec: b.Metrics["serial-req/s"],
-			BatchSpeedup:    b.Metrics["batch-speedup"],
-			P50ms:           b.Metrics["p50-ms"],
-			P99ms:           b.Metrics["p99-ms"],
-			MeanBatch:       b.Metrics["mean-batch"],
+		if v, ok := b.Metrics["req/s"]; ok {
+			s.RequestsPerSec = v
+			s.BatchSpeedup = b.Metrics["batch-speedup"]
+			s.P50ms = b.Metrics["p50-ms"]
+			s.P99ms = b.Metrics["p99-ms"]
+			s.MeanBatch = b.Metrics["mean-batch"]
 		}
 	}
-	return nil
+	if s.RequestsPerSec == 0 {
+		return nil
+	}
+	return &s
 }
 
 // adaptiveSummary extracts the adaptive-serving acceptance quantities from

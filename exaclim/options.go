@@ -426,12 +426,17 @@ func WithWorkspacePolicy(p WorkspacePolicy) Option {
 	return func(o *options) { o.workspace = p }
 }
 
-// WithKernelWorkers sets the goroutine fan-out of the tensor compute
-// kernels (GEMM tiles, im2col, elementwise loops) for the run. The setting
-// is process-wide while the experiment runs and restored afterwards, so
-// concurrent experiments in one process share it (last setter wins) — use
-// it only when runs are serialized. n < 1 is rejected; omit the option
-// entirely to keep the current setting (GOMAXPROCS at startup).
+// WithKernelWorkers caps how many pool workers one tensor kernel call
+// (GEMM M blocks, im2col channels, elementwise ranges) may fan out to for
+// the run. It is a ceiling, not a request: a call splits only when its own
+// estimated FLOPs/bytes clear the kernel layer's fan-out gate (DESIGN.md,
+// "Worker pool and fan-out gate"), so the tile-scale kernels of the Tiny
+// presets run inline at any n, and results are bit-identical for every n.
+// The setting is process-wide while the experiment runs and restored
+// afterwards, so concurrent experiments in one process share it (last
+// setter wins) — use it only when runs are serialized. n < 1 is rejected;
+// omit the option entirely to keep the current setting (GOMAXPROCS at
+// startup).
 func WithKernelWorkers(n int) Option {
 	return func(o *options) {
 		if n < 1 {

@@ -147,8 +147,8 @@ type Config struct {
 
 	// Workspace selects pooled (default) or step-fresh execution memory.
 	Workspace WorkspacePolicy
-	// KernelWorkers, when > 0, sets the tensor-kernel goroutine fan-out for
-	// the run (process-wide; restored afterwards). 0 keeps the current
+	// KernelWorkers, when > 0, caps the pool workers one tensor-kernel call
+	// may fan out to for the run (process-wide; restored afterwards). 0 keeps the current
 	// setting (GOMAXPROCS by default). The knob is a process global:
 	// concurrent Train calls in one process share it (last setter wins), so
 	// set it only when runs are serialized.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/climate"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/loss"
 	"repro/internal/models"
 	"repro/internal/opt"
+	"repro/internal/racecheck"
 	"repro/internal/simnet"
 )
 
@@ -330,5 +332,33 @@ func TestValidateEveryWithoutSizeIsIgnored(t *testing.T) {
 	}
 	if len(res.ValHistory) != 0 {
 		t.Errorf("got %d validation records without ValidationSize", len(res.ValHistory))
+	}
+}
+
+// TestTrainStepAllocs is the whole-step allocation guard: heap objects per
+// steady-state step of one pooled Tiramisu-Tiny rank through the real
+// trainer (prefetcher, executor, exchange, optimizer), taken as the
+// marginal cost of 80 more steps so that set-up cancels. Pinned a little
+// above the measured 197.5 (239 before the kernels gated their fan-out
+// closures); the exchange and pool guards cover their parts, this covers
+// the sum.
+func TestTrainStepAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts under the race detector describe the detector")
+	}
+	mallocs := func(steps int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Train(baseConfig(1, steps)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	short, long := mallocs(40), mallocs(120)
+	if perStep := float64(long-short) / 80; perStep > 205 {
+		t.Errorf("a steady-state training step allocates %.1f objects, want ≤ 205", perStep)
+	} else {
+		t.Logf("%.1f objects per steady-state step", perStep)
 	}
 }

@@ -318,6 +318,7 @@ type ctlMsg struct {
 type Fleet struct {
 	cfg      Config
 	channels int
+	plans    infer.PlanCache // tilings per (H, W) seen
 	world    *mpi.World
 	fabric   simnet.Fabric
 
@@ -522,7 +523,7 @@ func (f *Fleet) Segment(ctx context.Context, fields *tensor.Tensor) (*tensor.Ten
 	if fs.Rank() != 3 || fs[0] != f.channels {
 		return nil, RequestStat{}, fmt.Errorf("fleet: fields must be [%d,H,W], got %v", f.channels, fs)
 	}
-	tiles, err := infer.Plan(fs[1], fs[2], f.cfg.Tile)
+	tiles, err := f.plans.Plan(fs[1], fs[2], f.cfg.Tile)
 	if err != nil {
 		return nil, RequestStat{}, err
 	}

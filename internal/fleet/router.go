@@ -121,10 +121,12 @@ func (rt *routerState) idle() bool {
 
 // admit decomposes a request into tile jobs and queues them for dispatch.
 func (rt *routerState) admit(req *request) {
-	for _, t := range req.tiles {
-		rt.pending = append(rt.pending, &tileJob{req: req, tile: t, shard: -1})
-		rt.inflight++
+	jobs := make([]tileJob, len(req.tiles)) // one slab per request
+	for i, t := range req.tiles {
+		jobs[i] = tileJob{req: req, tile: t, shard: -1}
+		rt.pending = append(rt.pending, &jobs[i])
 	}
+	rt.inflight += len(jobs)
 }
 
 // healthy returns the number of live shards.

@@ -85,7 +85,12 @@ type Executor struct {
 	pool *tensor.Pool      // nil → legacy allocate-per-run execution
 	ws   *tensor.Workspace // scratch handle over pool for ScratchOps
 
-	valueOwned []bool // values[i] is executor-owned (recyclable)
+	// valueOwned[i] / gradOwned[i]: the tensor came out of ws (a scratch
+	// dispatch, or the executor's own seed gradient), so it goes back to
+	// the pool when dead. Feeds, parameters and whatever a plain
+	// Forward/Backward allocated on the heap are never recycled — the pool
+	// takes back only what it handed out, so it cannot grow per run.
+	valueOwned []bool
 	gradOwned  []bool
 
 	// Static forward plan, built once (graphs are immutable once executed).
@@ -208,15 +213,6 @@ func (e *Executor) Release() {
 	e.reset()
 }
 
-// adoptValue records ownership of an op output so its storage can be
-// recycled once the value is dead.
-func (e *Executor) adoptValue(id int, t *tensor.Tensor) {
-	e.values[id] = t
-	if e.pool != nil {
-		e.valueOwned[id] = true
-	}
-}
-
 func (e *Executor) releaseValue(id int) {
 	if e.valueOwned[id] && e.values[id] != nil {
 		e.pool.ReleaseTensor(e.values[id])
@@ -234,23 +230,24 @@ func (e *Executor) releaseGrad(id int) {
 }
 
 // runForward dispatches an op through its scratch-aware path when both the
-// op and the executor support it.
-func (e *Executor) runForward(node *Node, ins []*tensor.Tensor) *tensor.Tensor {
+// op and the executor support it; pooled reports whether the output came
+// from the executor's workspace.
+func (e *Executor) runForward(node *Node, ins []*tensor.Tensor) (out *tensor.Tensor, pooled bool) {
 	if e.ws != nil {
-		if so, ok := node.Op.(ScratchOp); ok {
-			return so.ForwardScratch(ins, e.ws)
+		if so, ok := node.Op.(ForwardScratchOp); ok {
+			return so.ForwardScratch(ins, e.ws), true
 		}
 	}
-	return node.Op.Forward(ins)
+	return node.Op.Forward(ins), false
 }
 
-func (e *Executor) runBackward(node *Node, ins []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
+func (e *Executor) runBackward(node *Node, ins []*tensor.Tensor, out, gradOut *tensor.Tensor) (grads []*tensor.Tensor, pooled bool) {
 	if e.ws != nil {
 		if so, ok := node.Op.(ScratchOp); ok {
-			return so.BackwardScratch(ins, out, gradOut, e.ws)
+			return so.BackwardScratch(ins, out, gradOut, e.ws), true
 		}
 	}
-	return node.Op.Backward(ins, out, gradOut)
+	return node.Op.Backward(ins, out, gradOut), false
 }
 
 // Forward runs the graph on the given feeds (one tensor per input node) and
@@ -311,7 +308,7 @@ func (e *Executor) Forward(feeds map[*Node]*tensor.Tensor) error {
 		ready = ready[:len(ready)-1]
 
 		ins := e.gatherInputs(node)
-		out := e.runForward(node, ins)
+		out, pooled := e.runForward(node, ins)
 		if !out.Shape().Equal(node.Shape) {
 			return fmt.Errorf("graph: op %q produced shape %v, inferred %v",
 				node.Label, out.Shape(), node.Shape)
@@ -319,7 +316,7 @@ func (e *Executor) Forward(feeds map[*Node]*tensor.Tensor) error {
 		if e.precision == FP16 {
 			hpfloat.RoundTrip(out.Data())
 		}
-		e.adoptValue(node.ID, out)
+		e.values[node.ID], e.valueOwned[node.ID] = out, pooled
 
 		for _, m := range e.consumers[node.ID] {
 			e.pending[m.ID]--
@@ -457,7 +454,7 @@ func (e *Executor) Backward(root *Node) error {
 		}
 
 		ins := e.gatherInputs(nd)
-		inGrads := e.runBackward(nd, ins, e.values[nd.ID], g)
+		inGrads, pooled := e.runBackward(nd, ins, e.values[nd.ID], g)
 		if len(inGrads) != len(nd.Inputs) {
 			return fmt.Errorf("graph: op %q returned %d grads for %d inputs",
 				nd.Label, len(inGrads), len(nd.Inputs))
@@ -472,13 +469,10 @@ func (e *Executor) Backward(root *Node) error {
 					hpfloat.RoundTrip(ig.Data())
 				}
 				if e.grads[in.ID] == nil {
-					e.grads[in.ID] = ig
-					if e.pool != nil {
-						e.gradOwned[in.ID] = true
-					}
+					e.grads[in.ID], e.gradOwned[in.ID] = ig, pooled
 				} else {
 					tensor.AddInPlace(e.grads[in.ID], ig)
-					if e.pool != nil {
+					if pooled {
 						e.pool.ReleaseTensor(ig)
 					}
 				}

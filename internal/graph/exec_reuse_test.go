@@ -195,3 +195,51 @@ func TestPooledExecutorLifetimes(t *testing.T) {
 		t.Fatal("no buffers were ever recycled")
 	}
 }
+
+// heapOnly hides an op's scratch methods: the pooled executor can only call
+// its plain Forward/Backward, whose results live on the Go heap.
+type heapOnly struct{ graph.Op }
+
+// TestPooledExecutorRecyclesOnlyWorkspaceTensors: whatever mix of
+// scratch-aware and plain ops a graph holds, the executor's pool takes back
+// no more than it handed out and, once warm, faults in nothing — a
+// heap-allocated output or gradient is the collector's, never adopted.
+// (Adopting them is how a forward-only fused op once grew every serving
+// replica's pool per tile.)
+func TestPooledExecutorRecyclesOnlyWorkspaceTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	g := graph.New()
+	x := g.Input("x", tensor.NCHW(2, 3, 8, 8))
+	w := g.Param("w", tensor.HeInit(tensor.OIHW(4, 3, 3, 3), rng))
+	h := g.Apply(nn.NewConv2D(1, 1, 1), x, w)
+	h = g.Apply(heapOnly{nn.ReLU{}}, h)
+	a := g.Apply(nn.ReLU{}, h)
+	b := g.Apply(heapOnly{nn.Identity{}}, h)
+	root := g.Apply(nn.GlobalAvgPool{}, g.Apply(nn.Add{}, a, b))
+	feeds := map[*graph.Node]*tensor.Tensor{x: tensor.RandNormal(tensor.NCHW(2, 3, 8, 8), 0, 1, rng)}
+
+	pool := tensor.NewPool()
+	ex := graph.NewPooledExecutor(g, graph.FP32, 1, pool)
+	step := func() {
+		if err := ex.Forward(feeds); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Backward(root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	step()
+	warm := pool.Stats()
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	ex.Release()
+	st := pool.Stats()
+	if st.Puts > st.Gets {
+		t.Errorf("pool took back %d buffers but handed out %d", st.Puts, st.Gets)
+	}
+	if st.Misses != warm.Misses {
+		t.Errorf("pool misses grew from %d to %d over 20 warm steps", warm.Misses, st.Misses)
+	}
+}

@@ -94,16 +94,24 @@ type Op interface {
 	Categories() (fwd, bwd Category)
 }
 
-// ScratchOp is the scratch-aware extension of Op: kernels that implement it
-// draw their output tensors and internal scratch (im2col panels, batch-norm
-// temporaries, pooling index maps) from the executor's Workspace instead of
-// the Go heap, so a pooled executor runs at steady state with near-zero
-// allocation. ForwardScratch/BackwardScratch must be semantically identical
-// to Forward/Backward; the plain methods remain the path for unpooled
-// execution.
-type ScratchOp interface {
+// ForwardScratchOp is the scratch-aware forward half of an Op: a kernel
+// that implements it draws its output tensor and internal scratch (im2col
+// panels, batch-norm temporaries, pooling index maps) from the executor's
+// Workspace instead of the Go heap, so a pooled executor runs at steady
+// state with near-zero allocation. ForwardScratch must be semantically
+// identical to Forward, and every tensor it returns must come from ws —
+// the executor recycles exactly those into the workspace's pool. The plain
+// method remains the path for unpooled execution. Inference-only kernels
+// (nn.FusedBNReLU) implement this half alone.
+type ForwardScratchOp interface {
 	Op
 	ForwardScratch(in []*tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
+}
+
+// ScratchOp adds the backward half, under the same contract: every
+// non-nil gradient BackwardScratch returns comes from ws.
+type ScratchOp interface {
+	ForwardScratchOp
 	BackwardScratch(in []*tensor.Tensor, out, gradOut *tensor.Tensor, ws *tensor.Workspace) []*tensor.Tensor
 }
 

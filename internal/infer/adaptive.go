@@ -150,7 +150,10 @@ func (r *Runner) ExitScores(items []BatchItem, scores []float64, head *ExitHead)
 		return fmt.Errorf("infer: exit head has %d weights, tap wants %d (%d per channel × %d channels)",
 			len(head.Weights), featuresPerChannel*cp, featuresPerChannel, cp)
 	}
-	feats := make([]float64, featuresPerChannel*cp)
+	if head != nil && len(r.feats) != featuresPerChannel*cp {
+		r.feats = make([]float64, featuresPerChannel*cp)
+	}
+	feats := r.feats
 	for i := 0; i < n; i++ {
 		if head == nil {
 			var sum float64

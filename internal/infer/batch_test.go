@@ -2,6 +2,7 @@ package infer
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/climate"
@@ -230,5 +231,70 @@ func TestFromModelBatchedOnClimateSample(t *testing.T) {
 		if v < 0 || v >= climate.NumClasses {
 			t.Fatalf("mask value %v outside class range", v)
 		}
+	}
+}
+
+// TestRunnerPoolSteadyState: a warm Runner neither grows its pool nor the
+// heap. 200 calls (RunBatch and ExitScores alternating) over mixed batch
+// sizes, per precision: the pool takes back no more than it handed out (Puts ≤ Gets —
+// the executor recycles only workspace tensors, whatever an op allocates on
+// the heap is the collector's), faults in no new buffer, and the live heap
+// stays flat.
+func TestRunnerPoolSteadyState(t *testing.T) {
+	const tile, hw = 16, 40
+	net, err := buildClimateNet(tile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := tensor.RandNormal(tensor.Shape{climate.NumChannels, hw, hw}, 0, 1, rand.New(rand.NewSource(6)))
+	sizes := []int{1, 8, 3, 5, 2}
+	for _, prec := range []graph.Precision{graph.FP32, graph.FP16, graph.INT8} {
+		cfg := Config{TileH: tile, TileW: tile, Overlap: 2, Precision: prec, MaxBatch: 8}
+		r, err := NewRunner(net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Plan(hw, hw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := tensor.New(tensor.Shape{hw, hw})
+		items := make([]BatchItem, len(plan))
+		for i, tl := range plan {
+			items[i] = BatchItem{Fields: fields, Tile: tl, Mask: mask}
+		}
+		scores := make([]float64, cfg.MaxBatch)
+		call := func(i int) {
+			n := sizes[i%len(sizes)]
+			if err := r.RunBatch(items[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.ExitScores(items[:n], scores, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*len(sizes); i++ {
+			call(i)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		warm := r.PoolStats()
+		for i := 0; i < 100; i++ {
+			call(i)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		st := r.PoolStats()
+		if st.Puts > st.Gets {
+			t.Errorf("%v: pool took back %d buffers but handed out %d", prec, st.Puts, st.Gets)
+		}
+		if st.Misses != warm.Misses {
+			t.Errorf("%v: pool misses grew from %d to %d over 200 warm calls", prec, warm.Misses, st.Misses)
+		}
+		if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 256<<10 {
+			t.Errorf("%v: live heap grew by %d KB over 200 warm calls", prec, grown>>10)
+		}
+		r.Close()
 	}
 }

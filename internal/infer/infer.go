@@ -20,6 +20,7 @@ package infer
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/models"
@@ -123,6 +124,48 @@ func Plan(h, w int, cfg Config) ([]Tile, error) {
 	return tiles, nil
 }
 
+// PlanCache memoizes Plan for callers that tile the same few image sizes
+// over and over (a server's requests): a hit costs a map lookup instead of
+// the tiling's half-dozen allocations. The returned slice is shared — treat
+// it as read-only. The zero value is ready to use and safe for concurrent
+// use.
+type PlanCache struct {
+	mu    sync.Mutex
+	plans map[planKey][]Tile
+}
+
+// planKey is every input Plan reads.
+type planKey struct{ h, w, tileH, tileW, overlap int }
+
+// planCacheMax bounds the cache: sizes beyond the first planCacheMax
+// distinct ones are planned afresh on every call, so a client cycling
+// through image sizes cannot grow a server's memory.
+const planCacheMax = 64
+
+// Plan returns Plan(h, w, cfg), computing it at most once per geometry.
+func (c *PlanCache) Plan(h, w int, cfg Config) ([]Tile, error) {
+	key := planKey{h, w, cfg.TileH, cfg.TileW, cfg.Overlap}
+	c.mu.Lock()
+	tiles, ok := c.plans[key]
+	c.mu.Unlock()
+	if ok {
+		return tiles, nil
+	}
+	tiles, err := Plan(h, w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if c.plans == nil {
+		c.plans = make(map[planKey][]Tile)
+	}
+	if len(c.plans) < planCacheMax {
+		c.plans[key] = tiles
+	}
+	c.mu.Unlock()
+	return tiles, nil
+}
+
 // positions returns tile origins covering size with the given window and
 // overlap; the last origin is clamped so the window stays inside.
 func positions(size, window, overlap int) []int {
@@ -191,6 +234,7 @@ type Runner struct {
 	// batch size, built lazily like sized. Nil entries never appear: the
 	// map is only populated when the network has an exit tap.
 	exitSized map[int]*sizedNet
+	feats     []float64 // ExitScores' pooled-feature scratch
 }
 
 // NewRunner validates the configuration against the network window and

@@ -39,7 +39,8 @@ func (f *FusedBNReLU) Forward(in []*tensor.Tensor) *tensor.Tensor {
 	return f.ForwardScratch(in, heapWS)
 }
 
-// ForwardScratch implements graph.ScratchOp: per-sample statistics, then
+// ForwardScratch implements graph.ForwardScratchOp (the op has no backward
+// half, so not graph.ScratchOp): per-sample statistics, then
 // normalize+rectify in a single pass over each channel row (the shared
 // perSampleBNForward kernel — see norm.go — with the fused rectifier).
 func (f *FusedBNReLU) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspace) *tensor.Tensor {

@@ -161,6 +161,7 @@ type request struct {
 	exited    atomic.Int64 // tiles resolved by the exit path
 	computeNs atomic.Int64 // executor time attributed to this request
 	enqueued  time.Time
+	jobs      []tileJob // the request's queue entries, one slab
 	done      chan struct{}
 	failOnce  sync.Once
 	err       atomic.Pointer[error] // first failure, nil on success
@@ -220,6 +221,7 @@ type tileJob struct {
 type Server struct {
 	cfg      Config
 	channels int
+	plans    infer.PlanCache // tilings per (H, W, overlap) seen
 	// decodeQ holds full-decode tile jobs; exitQ holds exit-check jobs.
 	// Without EarlyExit admission targets decodeQ directly and exitQ stays
 	// empty; with it, admission targets exitQ and decodeQ receives only
@@ -339,7 +341,7 @@ func (s *Server) SegmentWith(ctx context.Context, fields *tensor.Tensor, opts Se
 	if opts.Overlap >= 0 {
 		tileCfg.Overlap = opts.Overlap
 	}
-	tiles, err := infer.Plan(fs[1], fs[2], tileCfg)
+	tiles, err := s.plans.Plan(fs[1], fs[2], tileCfg)
 	if err != nil {
 		return nil, RequestStat{}, err
 	}
@@ -350,6 +352,7 @@ func (s *Server) SegmentWith(ctx context.Context, fields *tensor.Tensor, opts Se
 		tiles:    len(tiles),
 		exitThr:  s.cfg.ExitThreshold,
 		enqueued: time.Now(),
+		jobs:     make([]tileJob, len(tiles)),
 		done:     make(chan struct{}),
 	}
 	if opts.ExitBoost > 0 {
@@ -367,8 +370,9 @@ func (s *Server) SegmentWith(ctx context.Context, fields *tensor.Tensor, opts Se
 		return nil, RequestStat{}, ErrClosed
 	}
 	admitted := 0
-	for _, t := range tiles {
-		job := &tileJob{req: req, tile: t}
+	for i, t := range tiles {
+		req.jobs[i] = tileJob{req: req, tile: t}
+		job := &req.jobs[i]
 		select {
 		case admitQ <- job:
 			s.depth.Add(1)
@@ -494,14 +498,12 @@ func (w *worker) gather(q chan *tileJob, first *tileJob) []*tileJob {
 		case <-deadline:
 			return batch
 		case <-s.stop:
-			if !w.timer.Stop() {
-				<-w.timer.C
-			}
+			w.timer.Stop()
 			return batch
 		}
 	}
-	if deadline != nil && !w.timer.Stop() {
-		<-w.timer.C
+	if deadline != nil {
+		w.timer.Stop()
 	}
 	return batch
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/infer"
 	"repro/internal/nn"
+	"repro/internal/racecheck"
 	"repro/internal/tensor"
 )
 
@@ -619,4 +620,34 @@ func ExampleServer() {
 	mask, stat, _ := s.Segment(context.Background(), fields)
 	fmt.Println(mask.Shape(), stat.Tiles > 0)
 	// Output: [16 24] true
+}
+
+// TestServedRequestAllocs is the whole-path allocation guard of serving: a
+// warm request costs the same handful of heap objects whether it is one
+// tile or twenty-five — the request, its job slab, its mask and its done
+// channel; the tiling comes from the plan cache and every activation from
+// the replica's pool. AllocsPerRun counts process-wide, so the worker's
+// side of the request is included.
+func TestServedRequestAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts under the race detector describe the detector")
+	}
+	s, err := New(buildNet(8, 8, 5), testConfig(func(c *Config) { c.Replicas = 1 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	for _, hw := range []int{8, 30} { // 1 tile, 5×5 tiles
+		fields := tensor.RandNormal(tensor.Shape{3, hw, hw}, 0, 1, rng)
+		segment := func() {
+			if _, _, err := s.Segment(context.Background(), fields); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segment() // plan, executors, pool
+		if allocs := testing.AllocsPerRun(50, segment); allocs > 7 {
+			t.Errorf("a warm %d×%d request allocates %.0f objects, want ≤ 7", hw, hw, allocs)
+		}
+	}
 }

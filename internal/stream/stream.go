@@ -401,11 +401,11 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 // produce paces the source and feeds the queue under the configured policy
 // (it both sends and, under PolicyDropOldest, receives to shed).
 func (p *Pipeline) produce(ctx context.Context, queue chan frameItem) error {
+	// One timer, Reset per frame. Timer channels are unbuffered as of
+	// go 1.23: Reset discards a tick nobody received, so there is nothing
+	// to drain — not even the one this zero duration fires at once.
 	timer := time.NewTimer(0)
 	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
 	next := time.Now()
 	for i := 0; p.cfg.MaxFrames == 0 || i < p.cfg.MaxFrames; i++ {
 		if wait := time.Until(next); wait > 0 {

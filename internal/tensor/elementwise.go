@@ -5,20 +5,16 @@ import (
 	"math"
 )
 
-// Axpy computes y += alpha*x over the raw slices (BLAS saxpy). The serial
-// branch avoids constructing an escaping closure, keeping the pooled
-// training loop allocation-free.
+// Axpy computes y += alpha*x over the raw slices (BLAS saxpy).
 func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
-	if Parallelism() <= 1 || len(x) <= 4096 {
-		axpyRange(alpha, x, y, 0, len(x))
+	if chunks := fanout(len(x), 12*len(x)); chunks > 1 {
+		parallelFor(len(x), chunks, func(lo, hi int) { axpyRange(alpha, x, y, lo, hi) })
 		return
 	}
-	parallelFor(len(x), 4096, func(lo, hi int) {
-		axpyRange(alpha, x, y, lo, hi)
-	})
+	axpyRange(alpha, x, y, 0, len(x))
 }
 
 func axpyRange(alpha float32, x, y []float32, lo, hi int) {
@@ -35,13 +31,11 @@ func axpyRange(alpha float32, x, y []float32, lo, hi int) {
 
 // Scale multiplies every element of x by alpha in place.
 func Scale(alpha float32, x []float32) {
-	if Parallelism() <= 1 || len(x) <= 4096 {
-		scaleRange(alpha, x, 0, len(x))
+	if chunks := fanout(len(x), 8*len(x)); chunks > 1 {
+		parallelFor(len(x), chunks, func(lo, hi int) { scaleRange(alpha, x, lo, hi) })
 		return
 	}
-	parallelFor(len(x), 4096, func(lo, hi int) {
-		scaleRange(alpha, x, lo, hi)
-	})
+	scaleRange(alpha, x, 0, len(x))
 }
 
 func scaleRange(alpha float32, x []float32, lo, hi int) {
@@ -114,7 +108,7 @@ func Add(a, b *Tensor) *Tensor {
 	checkSameLen(a, b, "Add")
 	out := New(a.shape)
 	ad, bd, od := a.data, b.data, out.data
-	parallelFor(len(ad), 4096, func(lo, hi int) {
+	parallelFor(len(ad), fanout(len(ad), 12*len(ad)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = ad[i] + bd[i]
 		}
@@ -127,7 +121,7 @@ func Sub(a, b *Tensor) *Tensor {
 	checkSameLen(a, b, "Sub")
 	out := New(a.shape)
 	ad, bd, od := a.data, b.data, out.data
-	parallelFor(len(ad), 4096, func(lo, hi int) {
+	parallelFor(len(ad), fanout(len(ad), 12*len(ad)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = ad[i] - bd[i]
 		}
@@ -140,7 +134,7 @@ func Mul(a, b *Tensor) *Tensor {
 	checkSameLen(a, b, "Mul")
 	out := New(a.shape)
 	ad, bd, od := a.data, b.data, out.data
-	parallelFor(len(ad), 4096, func(lo, hi int) {
+	parallelFor(len(ad), fanout(len(ad), 12*len(ad)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = ad[i] * bd[i]
 		}
@@ -158,7 +152,7 @@ func AddInPlace(a, b *Tensor) {
 func ReLU(x *Tensor) *Tensor {
 	out := New(x.shape)
 	xd, od := x.data, out.data
-	parallelFor(len(xd), 4096, func(lo, hi int) {
+	parallelFor(len(xd), fanout(len(xd), 8*len(xd)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if xd[i] > 0 {
 				od[i] = xd[i]
@@ -173,7 +167,7 @@ func ReLUGrad(x, grad *Tensor) *Tensor {
 	checkSameLen(x, grad, "ReLUGrad")
 	out := New(x.shape)
 	xd, gd, od := x.data, grad.data, out.data
-	parallelFor(len(xd), 4096, func(lo, hi int) {
+	parallelFor(len(xd), fanout(len(xd), 12*len(xd)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if xd[i] > 0 {
 				od[i] = gd[i]

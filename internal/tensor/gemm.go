@@ -52,11 +52,7 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
 		gemmSmall(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
-	if ActiveISA() == ISAAVX2 {
-		gemmBlockedAVX2(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-		return
-	}
-	gemmBlocked(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	gemmBlocked(ActiveISA() == ISAAVX2, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 func checkGemmArgs(transA, transB bool, m, n, k int, a []float32, lda int,
@@ -87,13 +83,12 @@ func checkGemmArgs(transA, transB bool, m, n, k int, a []float32, lda int,
 }
 
 // gemmScaleC applies C = beta*C when there is no multiply work (alpha==0 or
-// k==0). It runs inline for small C and parallelizes only when the scaling
-// itself is substantial.
+// k==0).
 func gemmScaleC(beta float32, m, n int, c []float32, ldc int) {
 	if beta == 1 {
 		return
 	}
-	parallelFor(m, max(1, 4096/max(n, 1)), func(lo, hi int) {
+	parallelFor(m, fanout(m, 8*m*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := c[i*ldc : i*ldc+n]
 			if beta == 0 {
@@ -110,18 +105,17 @@ func gemmScaleC(beta float32, m, n int, c []float32, ldc int) {
 // ---------- small path: serial single-pass kernels ----------
 
 // gemmSmall handles shapes the packed path cannot amortize: unblocked
-// row-wise kernels with beta folded into the row/tile updates. Tiny
-// problems run inline with no goroutines (and no escaping closure); larger
-// skinny problems still parallelize over rows.
+// row-wise kernels with beta folded into the row/tile updates, fanned out
+// over rows when skinny but large.
 func gemmSmall(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
 	b []float32, ldb int, beta float32, c []float32, ldc int) {
-	if Parallelism() <= 1 || m <= 8 {
-		gemmSmallRows(transA, transB, 0, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	if chunks := fanout(m, 2*m*n*k); chunks > 1 {
+		parallelFor(m, chunks, func(lo, hi int) {
+			gemmSmallRows(transA, transB, lo, hi, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		})
 		return
 	}
-	parallelFor(m, 8, func(lo, hi int) {
-		gemmSmallRows(transA, transB, lo, hi, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	})
+	gemmSmallRows(transA, transB, 0, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // gemmSmallRows computes C rows [lo, hi).
@@ -282,56 +276,123 @@ func getPanel(n int) *[]float32 {
 
 func putPanel(p *[]float32) { panelCache.Put(p) }
 
-func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
+// gemmBlocked is the blocked driver of both kernel sets: the scalar 4×8
+// micro-kernel below, and — avx2 set — the 6×16 assembly micro-kernel of
+// gemm_avx2.go. The loop nest, the per-K-block fan-out over M blocks and
+// the epilogue modes are shared; only the geometry, the packing routines
+// and the register tile differ.
+//
+// Epilogue modes, computed once per K block so no kernel branches on a
+// float comparison in its inner position:
+//
+//	mode 0 — not the first K block: C += alpha*acc
+//	mode 1 — first block, beta == 0: C  = alpha*acc (C never read)
+//	mode 2 — first block, beta != 0: C  = beta*C + alpha*acc
+func gemmBlocked(avx2, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
 	b []float32, ldb int, beta float32, c []float32, ldc int) {
-	nc := min(gemmNC, n)
-	kc := min(gemmKC, k)
-	mc := min(gemmMC, m)
-
-	bPanelMax := ((nc + gemmNR - 1) / gemmNR) * gemmNR * kc
-	aPanelMax := ((mc + gemmMR - 1) / gemmMR) * gemmMR * kc
+	mr, nr, kc, mc, nc := gemmMR, gemmNR, gemmKC, gemmMC, gemmNC
+	if avx2 {
+		mr, nr, kc, mc, nc = avxMR, avxNR, avxKC, avxMC, avxNC
+	}
+	nc, kc, mc = min(nc, n), min(kc, k), min(mc, m)
 	mcBlocks := (m + mc - 1) / mc
 
-	bPanelPtr := getPanel(bPanelMax)
+	bPanelPtr := getPanel(((nc + nr - 1) / nr) * nr * kc)
 	bPanel := *bPanelPtr
 	defer putPanel(bPanelPtr)
 
+	// The fan-out state travels by value: a closure capturing it would
+	// force a heap allocation per blocked call even when the call runs
+	// inline (escape analysis is static), and small-but-blocked GEMMs are
+	// the steady state of the tiny training nets — the executor's
+	// zero-alloc contract covers them.
+	st := gemmBlock{
+		avx2: avx2, transA: transA, alpha: alpha, beta: beta,
+		a: a, lda: lda, c: c, ldc: ldc, m: m, mc: mc,
+		aPanelMax: ((mc + mr - 1) / mr) * mr * kc, bPanel: bPanel,
+	}
 	for jc := 0; jc < n; jc += nc {
-		ncEff := min(nc, n-jc)
+		st.jc = jc
+		st.ncEff = min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {
-			kcEff := min(kc, k-pc)
-			packB(transB, b, ldb, jc, ncEff, pc, kcEff, bPanel)
-			first := pc == 0
-			// Parallel over disjoint M blocks: each worker packs its own A
-			// panel and owns a distinct row range of C.
-			parallelFor(mcBlocks, 1, func(blo, bhi int) {
-				aPanelPtr := getPanel(aPanelMax)
-				aPanel := *aPanelPtr
-				defer putPanel(aPanelPtr)
-				for blk := blo; blk < bhi; blk++ {
-					i0 := blk * mc
-					mcEff := min(mc, m-i0)
-					packA(transA, a, lda, i0, mcEff, pc, kcEff, aPanel)
-					for jr := 0; jr < ncEff; jr += gemmNR {
-						bStrip := bPanel[(jr/gemmNR)*kcEff*gemmNR:]
-						nEdge := min(gemmNR, ncEff-jr)
-						for ir := 0; ir < mcEff; ir += gemmMR {
-							aStrip := aPanel[(ir/gemmMR)*kcEff*gemmMR:]
-							mEdge := min(gemmMR, mcEff-ir)
-							gemmMicro(kcEff, aStrip, bStrip, alpha, beta, first,
-								c[(i0+ir)*ldc+jc+jr:], ldc, mEdge, nEdge)
-						}
-					}
-				}
-			})
+			st.pc = pc
+			st.kcEff = min(kc, k-pc)
+			if avx2 {
+				packB16(transB, b, ldb, jc, st.ncEff, pc, st.kcEff, bPanel)
+			} else {
+				packB(transB, b, ldb, jc, st.ncEff, pc, st.kcEff, bPanel)
+			}
+			switch {
+			case pc != 0:
+				st.mode = 0
+			case beta == 0:
+				st.mode = 1
+			default:
+				st.mode = 2
+			}
+			// Each K block is one fan-out over disjoint M blocks: a worker
+			// packs its own A panel and owns a distinct row range of C, and
+			// chunk w stays on pool worker w across the K loop.
+			if chunks := fanout(mcBlocks, 2*m*st.ncEff*st.kcEff); chunks > 1 {
+				st.runParallel(mcBlocks, chunks)
+			} else {
+				st.run(0, mcBlocks)
+			}
+		}
+	}
+}
+
+// gemmBlock is one K-block's worth of blocked-GEMM state, shared by the
+// M-block fan-out. Methods take it by value so the inline path stays
+// allocation-free; only runParallel's closure copies it to the heap.
+type gemmBlock struct {
+	avx2, transA bool
+	mode         int
+	alpha, beta  float32
+	a            []float32
+	lda          int
+	c            []float32
+	ldc          int
+	m, mc        int
+	jc, ncEff    int
+	pc, kcEff    int
+	aPanelMax    int
+	bPanel       []float32
+}
+
+func (g gemmBlock) runParallel(mcBlocks, chunks int) {
+	parallelFor(mcBlocks, chunks, func(blo, bhi int) { g.run(blo, bhi) })
+}
+
+// run packs and multiplies M blocks [blo, bhi).
+func (g gemmBlock) run(blo, bhi int) {
+	aPanelPtr := getPanel(g.aPanelMax)
+	aPanel := *aPanelPtr
+	defer putPanel(aPanelPtr)
+	if g.avx2 {
+		g.runAVX2(blo, bhi, aPanel)
+		return
+	}
+	for blk := blo; blk < bhi; blk++ {
+		i0 := blk * g.mc
+		mcEff := min(g.mc, g.m-i0)
+		packA(g.transA, g.a, g.lda, i0, mcEff, g.pc, g.kcEff, aPanel)
+		for jr := 0; jr < g.ncEff; jr += gemmNR {
+			bStrip := g.bPanel[(jr/gemmNR)*g.kcEff*gemmNR:]
+			nEdge := min(gemmNR, g.ncEff-jr)
+			for ir := 0; ir < mcEff; ir += gemmMR {
+				aStrip := aPanel[(ir/gemmMR)*g.kcEff*gemmMR:]
+				mEdge := min(gemmMR, mcEff-ir)
+				gemmMicro(g.kcEff, aStrip, bStrip, g.alpha, g.beta, g.mode,
+					g.c[(i0+ir)*g.ldc+g.jc+jr:], g.ldc, mEdge, nEdge)
+			}
 		}
 	}
 }
 
 // gemmMicro computes one MR×NR register tile: acc = Ap·Bp over kc packed
-// steps, then writes C[:mEdge,:nEdge] with alpha/beta applied. `first`
-// marks the first K block, where beta scaling happens exactly once.
-func gemmMicro(kc int, ap, bp []float32, alpha, beta float32, first bool,
+// steps, then writes C[:mEdge,:nEdge] under the epilogue mode.
+func gemmMicro(kc int, ap, bp []float32, alpha, beta float32, mode int,
 	c []float32, ldc, mEdge, nEdge int) {
 	var acc [gemmMR * gemmNR]float32
 	for p := 0; p < kc; p++ {
@@ -349,12 +410,12 @@ func gemmMicro(kc int, ap, bp []float32, alpha, beta float32, first bool,
 	for i := 0; i < mEdge; i++ {
 		ci := c[i*ldc : i*ldc+nEdge]
 		accRow := acc[i*gemmNR:]
-		switch {
-		case !first:
+		switch mode {
+		case 0:
 			for j := range ci {
 				ci[j] += alpha * accRow[j]
 			}
-		case beta == 0:
+		case 1:
 			for j := range ci {
 				ci[j] = alpha * accRow[j]
 			}

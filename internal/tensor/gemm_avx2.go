@@ -1,103 +1,18 @@
 package tensor
 
-// The AVX2 blocked GEMM path: same GotoBLAS/BLIS decomposition as
-// gemmBlocked, with the 6×16 assembly micro-kernel (gemm_avx2_amd64.s) in
-// the inner position and per-worker packed-panel reuse through
-// parallelForID. This file is portable Go — on non-amd64 builds
-// ActiveISA() never resolves to ISAAVX2, so the entry point is
+// The AVX2 half of the blocked GEMM: the 6×16 assembly micro-kernel
+// (gemm_avx2_amd64.s) in the inner position of gemm.go's shared driver,
+// with its own vectorized panel packing. This file is portable Go — on
+// non-amd64 builds ActiveISA() never resolves to ISAAVX2, so runAVX2 is
 // unreachable (the simdGemmTile stubs panic to keep that invariant loud).
-//
-// Epilogue modes, computed once per K block in Go so the assembly never
-// branches on float comparisons:
-//
-//	mode 0 — not the first K block: C += alpha*acc
-//	mode 1 — first block, beta == 0: C  = alpha*acc (C never read)
-//	mode 2 — first block, beta != 0: C  = beta*C + alpha*acc
 //
 // Both the assembly epilogue and the Go edge epilogue use the same
 // mul-then-add rounding, so full tiles and masked edge tiles are
 // bit-consistent with each other; only the K-loop FMA chains reassociate
 // relative to the scalar kernel (≤4·ULP per accumulation chain).
-func gemmBlockedAVX2(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
-	b []float32, ldb int, beta float32, c []float32, ldc int) {
-	nc := min(avxNC, n)
-	kc := min(avxKC, k)
-	mc := min(avxMC, m)
 
-	bPanelMax := ((nc + avxNR - 1) / avxNR) * avxNR * kc
-	aPanelMax := ((mc + avxMR - 1) / avxMR) * avxMR * kc
-	mcBlocks := (m + mc - 1) / mc
-
-	bPanelPtr := getPanel(bPanelMax)
-	bPanel := *bPanelPtr
-	defer putPanel(bPanelPtr)
-
-	// The fan-out state travels by value: a closure capturing it would
-	// force a heap allocation per blocked call even on the serial path
-	// (escape analysis is static), and small-but-blocked GEMMs are the
-	// steady state of the tiny training nets — the executor's zero-alloc
-	// contract covers them.
-	st := avxGemmBlock{
-		transA: transA, alpha: alpha, beta: beta,
-		a: a, lda: lda, c: c, ldc: ldc,
-		m: m, mc: mc, aPanelMax: aPanelMax, bPanel: bPanel,
-	}
-	serial := Parallelism() <= 1 || mcBlocks <= 1
-	for jc := 0; jc < n; jc += nc {
-		st.jc = jc
-		st.ncEff = min(nc, n-jc)
-		for pc := 0; pc < k; pc += kc {
-			st.pc = pc
-			st.kcEff = min(kc, k-pc)
-			packB16(transB, b, ldb, jc, st.ncEff, pc, st.kcEff, bPanel)
-			st.mode = 0
-			if pc == 0 {
-				if beta == 0 {
-					st.mode = 1
-				} else {
-					st.mode = 2
-				}
-			}
-			if serial {
-				st.run(0, mcBlocks)
-			} else {
-				st.runParallel(mcBlocks)
-			}
-		}
-	}
-}
-
-// avxGemmBlock is one K-block's worth of blocked-GEMM state, shared by the
-// M-block fan-out. Methods take it by value so the serial path stays
-// allocation-free; only runParallel's closure copies it to the heap.
-type avxGemmBlock struct {
-	transA      bool
-	mode        int
-	alpha, beta float32
-	a           []float32
-	lda         int
-	c           []float32
-	ldc         int
-	m, mc       int
-	jc, ncEff   int
-	pc, kcEff   int
-	aPanelMax   int
-	bPanel      []float32
-}
-
-// runParallel fans the M blocks out over the worker pool. parallelForID
-// keeps chunk w on pool worker w every K iteration, so a worker's C rows
-// (and its pooled A panel, via the per-P free list) stay cache-local
-// across the whole K loop.
-func (g avxGemmBlock) runParallel(mcBlocks int) {
-	parallelForID(mcBlocks, 1, func(id, blo, bhi int) { g.run(blo, bhi) })
-}
-
-// run packs and multiplies M blocks [blo, bhi).
-func (g avxGemmBlock) run(blo, bhi int) {
-	aPanelPtr := getPanel(g.aPanelMax)
-	aPanel := *aPanelPtr
-	defer putPanel(aPanelPtr)
+// runAVX2 packs and multiplies M blocks [blo, bhi) with the 6×16 kernel.
+func (g gemmBlock) runAVX2(blo, bhi int, aPanel []float32) {
 	var acc [avxMR * avxNR]float32
 	for blk := blo; blk < bhi; blk++ {
 		i0 := blk * g.mc

@@ -58,7 +58,7 @@ func BenchmarkGemmCrossover(b *testing.B) {
 		})
 		b.Run(name+"/blocked", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmBlockedAVX2(false, false, tc.m, tc.n, tc.k, 1, a, tc.k, bb, tc.n, 0, c, tc.n)
+				gemmBlocked(true, false, false, tc.m, tc.n, tc.k, 1, a, tc.k, bb, tc.n, 0, c, tc.n)
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

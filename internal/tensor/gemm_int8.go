@@ -101,20 +101,11 @@ func GemmInt8(m, n, k int, a []int8, aScales []float32, b []int8, bScale float32
 	if m == 0 || n == 0 {
 		return
 	}
-	if rows := int8GemmRowGrain(n, k); Parallelism() > 1 && m > rows {
-		parallelFor(m, rows, func(lo, hi int) {
-			gemmInt8Rows(lo, hi, n, k, a, aScales, b, bScale, c)
-		})
+	if chunks := fanout(m, 2*m*n*k); chunks > 1 {
+		parallelFor(m, chunks, func(lo, hi int) { gemmInt8Rows(lo, hi, n, k, a, aScales, b, bScale, c) })
 		return
 	}
 	gemmInt8Rows(0, m, n, k, a, aScales, b, bScale, c)
-}
-
-// int8GemmRowGrain picks the parallel row granularity so tiny problems
-// stay serial (mirroring gemmSmall's inline threshold).
-func int8GemmRowGrain(n, k int) int {
-	grain := 1 << 16 / max(1, n*k)
-	return max(8, grain)
 }
 
 // gemmInt8Rows computes C rows [lo, hi): 4-deep unrolled int32 axpy over

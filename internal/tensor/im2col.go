@@ -41,15 +41,11 @@ func Im2col(src []float32, c int, g ConvGeom, dst []float32) {
 	if len(dst) < c*g.KH*g.KW*cols {
 		panic("tensor: Im2col dst too small")
 	}
-	// Serial fast path: skip the closure (which escapes to the heap) when
-	// no fan-out can happen — this keeps the pooled hot loop allocation-free.
-	if Parallelism() <= 1 || c <= 1 {
-		im2colRange(src, c, g, dst, 0, c)
+	if chunks := fanout(c, 4*c*g.KH*g.KW*cols); chunks > 1 {
+		parallelFor(c, chunks, func(clo, chi int) { im2colRange(src, c, g, dst, clo, chi) })
 		return
 	}
-	parallelFor(c, 1, func(clo, chi int) {
-		im2colRange(src, c, g, dst, clo, chi)
-	})
+	im2colRange(src, c, g, dst, 0, c)
 }
 
 func im2colRange(src []float32, c int, g ConvGeom, dst []float32, clo, chi int) {
@@ -105,13 +101,11 @@ func Col2im(src []float32, c int, g ConvGeom, dst []float32) {
 		panic("tensor: Col2im dst too small")
 	}
 	// Channels are independent, so the scatter parallelizes safely over them.
-	if Parallelism() <= 1 || c <= 1 {
-		col2imRange(src, c, g, dst, 0, c)
+	if chunks := fanout(c, 4*c*g.KH*g.KW*g.OutH()*g.OutW()); chunks > 1 {
+		parallelFor(c, chunks, func(clo, chi int) { col2imRange(src, c, g, dst, clo, chi) })
 		return
 	}
-	parallelFor(c, 1, func(clo, chi int) {
-		col2imRange(src, c, g, dst, clo, chi)
-	})
+	col2imRange(src, c, g, dst, 0, c)
 }
 
 func col2imRange(src []float32, c int, g ConvGeom, dst []float32, clo, chi int) {

@@ -140,14 +140,13 @@ func GemmUsesSmallPath(m, n, k int) bool {
 
 // KernelInfo describes the active kernel configuration for bench reports.
 type KernelInfo struct {
-	ISA        string `json:"isa"`
-	GemmMR     int    `json:"gemm_mr"`
-	GemmNR     int    `json:"gemm_nr"`
-	Workers    int    `json:"workers"`
-	HasAVX2    bool   `json:"has_avx2"`
-	HasF16C    bool   `json:"has_f16c"`
-	SmallPath  int    `json:"small_path_mnk"`
-	PinWorkers bool   `json:"pin_workers"`
+	ISA       string `json:"isa"`
+	GemmMR    int    `json:"gemm_mr"`
+	GemmNR    int    `json:"gemm_nr"`
+	Workers   int    `json:"workers"`
+	HasAVX2   bool   `json:"has_avx2"`
+	HasF16C   bool   `json:"has_f16c"`
+	SmallPath int    `json:"small_path_mnk"`
 }
 
 // FMAPeakProbe runs iters iterations of the synthetic FMA peak kernel —
@@ -161,14 +160,13 @@ func FMAPeakProbe(iters int) bool { return fmaPeakProbeRun(iters) }
 // Kernel reports the active kernel configuration.
 func Kernel() KernelInfo {
 	info := KernelInfo{
-		ISA:        ActiveISA().String(),
-		GemmMR:     gemmMR,
-		GemmNR:     gemmNR,
-		Workers:    Parallelism(),
-		HasAVX2:    simd.HasAVX2(),
-		HasF16C:    simd.HasF16C(),
-		SmallPath:  gemmSmallMNKScalar,
-		PinWorkers: pinEnabled(),
+		ISA:       ActiveISA().String(),
+		GemmMR:    gemmMR,
+		GemmNR:    gemmNR,
+		Workers:   Parallelism(),
+		HasAVX2:   simd.HasAVX2(),
+		HasF16C:   simd.HasF16C(),
+		SmallPath: gemmSmallMNKScalar,
 	}
 	if ActiveISA() == ISAAVX2 {
 		info.GemmMR, info.GemmNR = avxMR, avxNR

@@ -38,7 +38,7 @@ func dotAVX2(x, y *float32, n int) float64
 func transpose8x8AVX2(src *float32, srcStride int, dst *float32, dstStride int)
 
 // simdGemmTile runs the full 6×16 tile with the epilogue in assembly.
-// mode: 0 accumulate, 1 overwrite, 2 blend (see gemmBlockedAVX2).
+// mode: 0 accumulate, 1 overwrite, 2 blend (see gemmBlocked).
 func simdGemmTile(kc int, ap, bp []float32, alpha, beta float32, mode int, c []float32, ldc int) {
 	gemmKern6x16(kc, &ap[0], &bp[0], alpha, beta, mode, &c[0], ldc)
 }

@@ -23,12 +23,7 @@ func NCHWToNHWC(x *Tensor) *Tensor {
 // image this is a plain C×(H·W) matrix transpose, so it rides the blocked
 // TransposeF32 kernel (8×8 in-register tiles under AVX2).
 func NCHWToNHWCInto(xd []float32, n, c, h, w int, dst []float32) {
-	hw := h * w
-	parallelFor(n, 1, func(lo, hi int) {
-		for img := lo; img < hi; img++ {
-			TransposeF32(xd[img*c*hw:(img+1)*c*hw], c, hw, dst[img*c*hw:(img+1)*c*hw])
-		}
-	})
+	transposeImages(xd, n, c, h*w, dst)
 }
 
 // NHWCToNCHW converts a [N,H,W,C] tensor back to [N,C,H,W].
@@ -46,12 +41,24 @@ func NHWCToNCHW(x *Tensor) *Tensor {
 // NHWCToNCHWInto performs the inverse layout change into caller-provided
 // storage, writing every element of dst — per image an (H·W)×C transpose.
 func NHWCToNCHWInto(xd []float32, n, c, h, w int, dst []float32) {
-	hw := h * w
-	parallelFor(n, 1, func(lo, hi int) {
-		for img := lo; img < hi; img++ {
-			TransposeF32(xd[img*c*hw:(img+1)*c*hw], hw, c, dst[img*c*hw:(img+1)*c*hw])
-		}
-	})
+	transposeImages(xd, n, h*w, c, dst)
+}
+
+// transposeImages transposes each of n contiguous rows×cols images of src
+// into dst, fanning out over images.
+func transposeImages(src []float32, n, rows, cols int, dst []float32) {
+	if chunks := fanout(n, 8*n*rows*cols); chunks > 1 {
+		parallelFor(n, chunks, func(lo, hi int) { transposeRange(src, rows, cols, dst, lo, hi) })
+		return
+	}
+	transposeRange(src, rows, cols, dst, 0, n)
+}
+
+func transposeRange(src []float32, rows, cols int, dst []float32, lo, hi int) {
+	sz := rows * cols
+	for img := lo; img < hi; img++ {
+		TransposeF32(src[img*sz:(img+1)*sz], rows, cols, dst[img*sz:(img+1)*sz])
+	}
 }
 
 // TransposeF32 writes the transpose of the rows×cols row-major matrix src

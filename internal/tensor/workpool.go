@@ -1,34 +1,28 @@
 package tensor
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// workPool is the persistent worker pool behind parallelFor/parallelForID.
-// The historical implementation spawned one goroutine per chunk per call;
-// at serving/training rates that is an allocation (closure + goroutine
-// stack hand-off) and two scheduler round-trips per kernel invocation, and
-// it shows up as contention when many replicas fan out concurrently. The
-// pool instead keeps one long-lived, OS-thread-locked, core-pinned worker
-// per chunk slot:
+// workPool is the persistent worker pool behind parallelFor: one
+// long-lived plain goroutine per chunk slot, woken over a capacity-1
+// channel, so a dispatch allocates nothing and creates no goroutine.
 //
-//   - Dispatch writes the job fields, then wakes workers over per-worker
-//     capacity-1 channels — no allocation, no goroutine creation.
-//   - Worker w always executes chunk w (deterministic block→worker
-//     assignment). Sequential fan-outs over the same range therefore
-//     revisit the same data on the same core, which is what lets the
-//     blocked GEMM keep a worker's C-tile rows and packed A panel resident
-//     across the K loop.
-//   - The calling goroutine executes chunk 0 itself and then waits on a
-//     capacity-1 done channel signalled by the last finishing worker.
+//   - Worker w always executes chunk w, and the calling goroutine executes
+//     chunk 0 and then waits on a capacity-1 done channel signalled by the
+//     last finishing worker. The block→worker assignment is therefore
+//     deterministic; which core a worker runs on is the Go scheduler's
+//     business (workers used to lock and pin their OS threads, which cost
+//     a futex round-trip per wake — ≈45 µs per dispatch against ≈1 µs
+//     now, see BenchmarkFanoutDispatch — and bought no measurable
+//     locality).
+//   - One fan-out runs at a time (the pool mutex); a nested or concurrent
+//     parallelFor fails the TryLock and runs inline on its caller, so the
+//     pool can never deadlock or oversubscribe the cores.
 //
-// One fan-out runs at a time (the pool mutex); a nested or concurrent
-// parallelFor fails the TryLock and runs inline on its caller. Workers are
-// spawned lazily up to the largest chunk count ever requested and live for
-// the process duration. Each locks its OS thread and (best effort, Linux)
-// pins it to core w mod NumCPU — EXACLIM_NOPIN=1 disables pinning.
+// Workers are spawned lazily up to the largest chunk count ever requested
+// and live for the process duration.
 type workPool struct {
 	mu    sync.Mutex
 	wakes []chan struct{} // wakes[w-1] wakes the worker owning chunk w
@@ -36,7 +30,6 @@ type workPool struct {
 	// Job state, written under mu before the wakes, read by woken workers
 	// (the channel send orders the writes before the reads).
 	body    func(lo, hi int)
-	bodyID  func(id, lo, hi int)
 	n, per  int
 	pending atomic.Int64
 	done    chan struct{}
@@ -44,65 +37,39 @@ type workPool struct {
 
 var kernelPool = &workPool{done: make(chan struct{}, 1)}
 
-// run executes one fan-out: chunk w = [w*per, min(w*per+per, n)) with
-// per = max(ceil(n/workers), grain), exactly the historical chunk
-// geometry. Returns false (having done nothing) when the pool is busy or
-// the range collapses to a single chunk. Exactly one of body/bodyID is
-// non-nil.
-func (p *workPool) run(n, grain, workers int, body func(lo, hi int), bodyID func(id, lo, hi int)) bool {
-	if !p.mu.TryLock() {
+// run executes body over [0, n) in at most the given number of contiguous
+// chunks of ceil(n/chunks) indices each. It returns false, having done
+// nothing, when the pool is busy or the range collapses to one chunk.
+func (p *workPool) run(n, chunks int, body func(lo, hi int)) bool {
+	if chunks < 2 || n < 2 || !p.mu.TryLock() {
 		return false
 	}
-	if chunks := (n + grain - 1) / grain; chunks < workers {
-		workers = chunks
+	per := (n + chunks - 1) / chunks
+	chunks = (n + per - 1) / per // ≥ 2: per < n
+	for len(p.wakes) < chunks-1 {
+		// First fan-out this wide: spawn the missing workers. The steady
+		// state allocates nothing.
+		wake := make(chan struct{}, 1)
+		p.wakes = append(p.wakes, wake)
+		go p.worker(len(p.wakes), wake)
 	}
-	per := max((n+workers-1)/workers, grain)
-	chunks := (n + per - 1) / per
-	if chunks <= 1 {
-		p.mu.Unlock()
-		return false
-	}
-	p.ensureWorkers(chunks - 1)
-	p.body, p.bodyID, p.n, p.per = body, bodyID, n, per
+	p.body, p.n, p.per = body, n, per
 	p.pending.Store(int64(chunks - 1))
 	for w := 1; w < chunks; w++ {
 		p.wakes[w-1] <- struct{}{}
 	}
-	if bodyID != nil {
-		bodyID(0, 0, per)
-	} else {
-		body(0, per)
-	}
+	body(0, per)
 	<-p.done
-	p.body, p.bodyID = nil, nil
+	p.body = nil
 	p.mu.Unlock()
 	return true
 }
 
-// ensureWorkers spawns missing workers so chunk ids 1..k have owners.
-// Called with mu held; spawning happens only the first time a larger
-// fan-out is requested, so the steady state allocates nothing.
-func (p *workPool) ensureWorkers(k int) {
-	for len(p.wakes) < k {
-		w := len(p.wakes) + 1
-		wake := make(chan struct{}, 1)
-		p.wakes = append(p.wakes, wake)
-		go p.worker(w, wake)
-	}
-}
-
-// worker owns chunk id w of every fan-out large enough to include it.
+// worker owns chunk id w of every fan-out wide enough to include it.
 func (p *workPool) worker(w int, wake chan struct{}) {
-	runtime.LockOSThread()
-	pinThread(w)
 	for range wake {
 		lo := w * p.per
-		hi := min(lo+p.per, p.n)
-		if p.bodyID != nil {
-			p.bodyID(w, lo, hi)
-		} else {
-			p.body(lo, hi)
-		}
+		p.body(lo, min(lo+p.per, p.n))
 		// The caller may start the next job the instant done is signalled,
 		// so no job field is touched past this decrement.
 		if p.pending.Add(-1) == 0 {
