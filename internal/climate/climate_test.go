@@ -2,8 +2,10 @@ package climate
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/racecheck"
 	"repro/internal/tensor"
 )
 
@@ -243,13 +245,13 @@ func TestSplitString(t *testing.T) {
 
 func TestPercentileAndHelpers(t *testing.T) {
 	vals := []float32{5, 1, 3, 2, 4}
-	if p := percentile(vals, 0); p != 1 {
+	if p := percentile(make([]float64, len(vals)), vals, 0); p != 1 {
 		t.Fatalf("p0 = %g", p)
 	}
-	if p := percentile(vals, 1); p != 5 {
+	if p := percentile(make([]float64, len(vals)), vals, 1); p != 5 {
 		t.Fatalf("p100 = %g", p)
 	}
-	if p := percentile(vals, 0.5); p != 3 {
+	if p := percentile(make([]float64, len(vals)), vals, 0.5); p != 3 {
 		t.Fatalf("p50 = %g", p)
 	}
 	if unwrap(1, 143, 144) != 145 {
@@ -257,5 +259,20 @@ func TestPercentileAndHelpers(t *testing.T) {
 	}
 	if unwrap(70, 72, 144) != 70 {
 		t.Fatal("unwrap should be identity nearby")
+	}
+}
+
+// TestBaseClimateAllocatesNothing: the background fields are generated in
+// place — each channel's noise is drawn into the channel's own plane — so
+// a sample costs no scratch beyond its tensors (the 16 noise planes and
+// lattices were 114 KB of a 32×48 stream frame's 273 KB).
+func TestBaseClimateAllocatesNothing(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts under the race detector describe the detector")
+	}
+	f := tensor.New(tensor.Shape{NumChannels, 32, 48})
+	rng := rand.New(rand.NewSource(1))
+	if n := testing.AllocsPerRun(10, func() { genBaseClimate(f, rng) }); n != 0 {
+		t.Errorf("genBaseClimate allocates %v objects per call, want 0", n)
 	}
 }

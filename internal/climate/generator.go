@@ -126,12 +126,16 @@ func latitude(y, h int) float64 {
 func genBaseClimate(f *tensor.Tensor, rng *rand.Rand) {
 	s := f.Shape()
 	h, w := s[1], s[2]
-	noise := make([][]float32, NumChannels)
+	d := f.Data()
+	// Each channel's noise is drawn into the channel's own plane and the
+	// loop below overwrites it with the field it perturbs, so a sample
+	// costs no scratch beyond its tensors.
+	var noise [NumChannels][]float32
 	for c := range noise {
-		noise[c] = smoothNoise(h, w, 8+c%4, rng)
+		noise[c] = d[c*h*w : (c+1)*h*w]
+		smoothNoise(noise[c], h, w, 8+c%4, rng)
 	}
 	at := func(c, y, x int) int { return (c*h+y)*w + x }
-	d := f.Data()
 	for y := 0; y < h; y++ {
 		lat := latitude(y, h)
 		latRad := lat * math.Pi / 180
@@ -347,15 +351,19 @@ func signFloat(north bool) float64 {
 	return -1
 }
 
-// smoothNoise returns h×w values in roughly [-1,1] with spatial coherence:
-// bilinear interpolation of a coarse random lattice.
-func smoothNoise(h, w, cells int, rng *rand.Rand) []float32 {
+// smoothNoise fills out with h×w values in roughly [-1,1] with spatial
+// coherence: bilinear interpolation of a coarse random lattice.
+func smoothNoise(out []float32, h, w, cells int, rng *rand.Rand) {
 	gh, gw := cells+2, cells+2
-	lattice := make([]float64, gh*gw)
+	var buf [13 * 13]float64 // every call site has cells ≤ 11: the lattice stays on the stack
+	lattice := buf[:]
+	if gh*gw > len(buf) {
+		lattice = make([]float64, gh*gw)
+	}
+	lattice = lattice[:gh*gw]
 	for i := range lattice {
 		lattice[i] = rng.Float64()*2 - 1
 	}
-	out := make([]float32, h*w)
 	for y := 0; y < h; y++ {
 		fy := float64(y) / float64(h) * float64(cells)
 		iy := int(fy)
@@ -372,5 +380,4 @@ func smoothNoise(h, w, cells int, rng *rand.Rand) []float32 {
 				v10*ty*(1-tx) + v11*ty*tx)
 		}
 	}
-	return out
 }

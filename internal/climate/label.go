@@ -3,6 +3,7 @@ package climate
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -24,8 +25,11 @@ func Label(fields *tensor.Tensor) *tensor.Tensor {
 // LabelInto runs the labeling pipeline into an existing [H, W] tensor,
 // overwriting every element (so reused buffers need no prior clearing).
 func LabelInto(fields, labels *tensor.Tensor) {
-	arMask := detectARs(fields)
-	tcMask := detectTCs(fields)
+	sc := labelScratchPool.Get().(*labelScratch)
+	defer labelScratchPool.Put(sc)
+	sc.reset(labels.NumElements())
+	arMask := detectARs(fields, sc)
+	tcMask := detectTCs(fields, sc)
 	ld := labels.Data()
 	for i := range ld {
 		switch {
@@ -39,6 +43,29 @@ func LabelInto(fields, labels *tensor.Tensor) {
 	}
 }
 
+// labelScratch is the detectors' per-grid working memory. Samples are
+// labeled at step and frame rate, so it is recycled rather than allocated
+// per call (36 KB a call at 32×48).
+type labelScratch struct {
+	f64                        []float64 // the sorted IWV copy, then the wind speed
+	masks                      []bool    // backs the four below
+	arMask, tcMask, cand, seen []bool
+}
+
+var labelScratchPool = sync.Pool{New: func() any { return new(labelScratch) }}
+
+// reset sizes the scratch for an n-cell grid and clears the masks.
+func (sc *labelScratch) reset(n int) {
+	if cap(sc.f64) < n {
+		sc.f64 = make([]float64, n)
+		sc.masks = make([]bool, 4*n)
+	}
+	sc.f64 = sc.f64[:n]
+	m := sc.masks[:4*n]
+	clear(m)
+	sc.arMask, sc.tcMask, sc.cand, sc.seen = m[:n], m[n:2*n], m[2*n:3*n], m[3*n:]
+}
+
 // ---- Tropical cyclone detection (TECA-style) ----
 
 // tcParams are the detector thresholds, tuned to the synthetic fields but
@@ -50,7 +77,7 @@ const (
 	tcMaxRadiusFrac   = 0.08 // candidates cap: radius as fraction of height
 )
 
-func detectTCs(fields *tensor.Tensor) []bool {
+func detectTCs(fields *tensor.Tensor, sc *labelScratch) []bool {
 	s := fields.Shape()
 	h, w := s[1], s[2]
 	d := fields.Data()
@@ -60,7 +87,7 @@ func detectTCs(fields *tensor.Tensor) []bool {
 	pslMean := rowMeans(d[ChPSL*h*w:(ChPSL+1)*h*w], h, w)
 	t500Mean := rowMeans(d[ChT500*h*w:(ChT500+1)*h*w], h, w)
 
-	wind := make([]float64, h*w)
+	wind := sc.f64
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			u := float64(d[at(ChU850, y, x)])
@@ -69,7 +96,7 @@ func detectTCs(fields *tensor.Tensor) []bool {
 		}
 	}
 
-	mask := make([]bool, h*w)
+	mask := sc.tcMask
 	maxRadius := int(tcMaxRadiusFrac * float64(h))
 	for y := 1; y < h-1; y++ {
 		for x := 0; x < w; x++ {
@@ -107,13 +134,13 @@ const (
 	arMaxLatAbs    = 75.0  // rivers don't reach the poles
 )
 
-func detectARs(fields *tensor.Tensor) []bool {
+func detectARs(fields *tensor.Tensor, sc *labelScratch) []bool {
 	s := fields.Shape()
 	h, w := s[1], s[2]
 	iwv := fields.Data()[ChTMQ*h*w : (ChTMQ+1)*h*w]
 
-	thresh := percentile(iwv, arPercentile)
-	cand := make([]bool, h*w)
+	thresh := percentile(sc.f64, iwv, arPercentile)
+	cand := sc.cand
 	for y := 0; y < h; y++ {
 		lat := latitude(y, h)
 		// Tropics have uniformly high IWV; ARs are the filaments escaping
@@ -130,8 +157,7 @@ func detectARs(fields *tensor.Tensor) []bool {
 
 	// Connected components (8-connectivity, periodic in x), geometric
 	// filter for elongated shapes.
-	mask := make([]bool, h*w)
-	seen := make([]bool, h*w)
+	mask, seen := sc.arMask, sc.seen
 	minPix := int(arMinPixelFrac * float64(h*w))
 	if minPix < 8 {
 		minPix = 8
@@ -286,9 +312,9 @@ func isLocalMin(field []float32, h, w, y, x int) bool {
 	return true
 }
 
-// percentile returns the p-th (0..1) percentile of the values.
-func percentile(vals []float32, p float64) float64 {
-	cp := make([]float64, len(vals))
+// percentile returns the p-th (0..1) percentile of the values, sorting a
+// copy of them in cp (len(vals) long).
+func percentile(cp []float64, vals []float32, p float64) float64 {
 	for i, v := range vals {
 		cp[i] = float64(v)
 	}
