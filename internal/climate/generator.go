@@ -57,6 +57,8 @@ type Sample struct {
 	Index  int
 	Fields *tensor.Tensor // [NumChannels, H, W]
 	Labels *tensor.Tensor // [H, W], values in {0,1,2}
+
+	rng *rand.Rand // GenerateInto's generator, reseeded per sample
 }
 
 // GenConfig controls the synthetic climate generator.
@@ -94,9 +96,17 @@ func Generate(cfg GenConfig, index int) *Sample {
 // GenerateInto generates snapshot `index` into the sample's existing
 // tensors ([NumChannels, H, W] fields and [H, W] labels), overwriting every
 // element — the allocation-free path the per-rank sample prefetcher cycles
-// its double buffers through. Results are bit-identical to Generate.
+// its double buffers through. Results are bit-identical to Generate. The
+// sample keeps its random generator and reseeds it in place, so a reused
+// sample allocates no generator state either.
 func GenerateInto(cfg GenConfig, index int, s *Sample) {
-	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(index)))
+	seed := cfg.Seed*1_000_003 + int64(index)
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+	rng := s.rng
 	s.Index = index
 	f := s.Fields
 

@@ -116,7 +116,7 @@ func (r *replica) prepare(gen *generation) error {
 	if err != nil {
 		return err
 	}
-	if err := ru.Warm(r.f.cfg.MaxBatch); err != nil {
+	if err := ru.Warm(r.f.cfg.MaxBatch, r.f.cfg.EarlyExit); err != nil {
 		ru.Close()
 		return err
 	}

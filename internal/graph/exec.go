@@ -149,8 +149,10 @@ func (e *Executor) PoolStats() tensor.PoolStats {
 
 // Reseed re-randomizes ready-queue tie-breaking for the next run, so a
 // persistent per-rank executor still schedules independently every step.
+// The generator is reseeded in place — the same sequence a fresh
+// rand.NewSource(seed) would give, without allocating one per step.
 func (e *Executor) Reseed(seed int64) {
-	e.rng = rand.New(rand.NewSource(seed))
+	e.rng.Seed(seed)
 }
 
 // Precision returns the executor's storage precision.
@@ -250,9 +252,23 @@ func (e *Executor) runBackward(node *Node, ins []*tensor.Tensor, out, gradOut *t
 	return node.Op.Backward(ins, out, gradOut), false
 }
 
+// fits reports whether s is the shape want, or — in an n-row prefix run,
+// rows > 0 — want with its leading dimension replaced by rows.
+func fits(s, want tensor.Shape, rows int) bool {
+	if rows == 0 {
+		return s.Equal(want)
+	}
+	return len(s) == len(want) && len(s) > 0 && s[0] == rows && s[1:].Equal(want[1:])
+}
+
 // Forward runs the graph on the given feeds (one tensor per input node) and
 // returns the value of every node. Feeds for all inputs are required. On a
 // pooled executor this also recycles all buffers from the previous run.
+//
+// A directly built graph takes feeds of exactly its input shapes. An
+// inference clone (CloneForInference) takes feeds of any n rows up to its
+// capacity, the same n for every input, and runs them as an n-row prefix:
+// every op output carries n rows, and nothing is done for the rows past n.
 func (e *Executor) Forward(feeds map[*Node]*tensor.Tensor) error {
 	if e.consumers == nil {
 		e.buildPlan()
@@ -267,6 +283,7 @@ func (e *Executor) Forward(feeds map[*Node]*tensor.Tensor) error {
 	copy(e.pending, e.pendingInit)
 	ready := e.ready[:0]
 
+	rows := 0 // the feeds' batch on an inference clone
 	for _, node := range e.g.nodes {
 		switch node.Kind {
 		case KindInput:
@@ -274,9 +291,17 @@ func (e *Executor) Forward(feeds map[*Node]*tensor.Tensor) error {
 			if !ok {
 				return fmt.Errorf("graph: missing feed for input %q", node.Label)
 			}
-			if !v.Shape().Equal(node.Shape) {
+			vs := v.Shape()
+			if e.g.capacity > 0 && rows == 0 && vs.Rank() > 0 {
+				if vs[0] < 1 || vs[0] > e.g.capacity {
+					return fmt.Errorf("graph: feed for %q has %d rows, outside the clone's capacity [1, %d]",
+						node.Label, vs[0], e.g.capacity)
+				}
+				rows = vs[0]
+			}
+			if !fits(vs, node.Shape, rows) {
 				return fmt.Errorf("graph: feed for %q has shape %v, want %v",
-					node.Label, v.Shape(), node.Shape)
+					node.Label, vs, node.Shape)
 			}
 			e.values[node.ID] = v
 		case KindParam:
@@ -285,6 +310,9 @@ func (e *Executor) Forward(feeds map[*Node]*tensor.Tensor) error {
 			}
 			e.values[node.ID] = node.Value
 		}
+	}
+	if e.ws != nil {
+		e.ws.SetRows(rows, e.g.capacity)
 	}
 	// Seed readiness: every op edge from an already-resolved node counts.
 	for _, node := range e.g.nodes {
@@ -309,7 +337,7 @@ func (e *Executor) Forward(feeds map[*Node]*tensor.Tensor) error {
 
 		ins := e.gatherInputs(node)
 		out, pooled := e.runForward(node, ins)
-		if !out.Shape().Equal(node.Shape) {
+		if !fits(out.Shape(), node.Shape, rows) {
 			return fmt.Errorf("graph: op %q produced shape %v, inferred %v",
 				node.Label, out.Shape(), node.Shape)
 		}

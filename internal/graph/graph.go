@@ -168,6 +168,11 @@ type Graph struct {
 	nodes  []*Node
 	inputs []*Node
 	params []*Node
+
+	// capacity is the batch an inference clone was planned for (see
+	// CloneForInference); 0 for a graph built directly, whose feeds must
+	// match its input shapes exactly.
+	capacity int
 }
 
 // New returns an empty graph.

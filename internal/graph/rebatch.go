@@ -32,12 +32,16 @@ type InferenceCloner interface {
 type FuseRule func(n *Node) (op Op, inputs []*Node, absorbed []*Node, ok bool)
 
 // CloneForInference clones the subgraph of g that computes root into a new
-// graph whose batch size is batch, for serving:
+// graph planned for a batch of capacity batch, for serving:
 //
 //   - Every input node's leading dimension (the batch dimension, by the
 //     repo-wide [N, ...] convention) is rebound to batch; op output shapes
 //     are re-inferred through each op's OutShape, so the whole clone scales
 //     consistently or the call fails.
+//   - The clone records batch as its capacity: an executor runs it on feeds
+//     of any n ≤ batch rows as an n-row prefix, every op output carrying n
+//     rows, so one clone serves every batch size up to its capacity (a
+//     directly built graph instead requires feeds of its exact shapes).
 //   - Parameter nodes share the original value tensors by reference —
 //     weights are read-only during inference, so replicas and batch-size
 //     variants of one model cost no extra parameter memory. Training the
@@ -123,6 +127,7 @@ func CloneForInference(g *Graph, root *Node, batch int, fuse FuseRule) (ng *Grap
 	}
 
 	ng = New()
+	ng.capacity = batch
 	mapping = make(map[*Node]*Node, len(g.nodes))
 	for _, n := range g.nodes {
 		if !reach[n.ID] || absorbed[n] != nil {

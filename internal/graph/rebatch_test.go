@@ -111,6 +111,93 @@ func TestCloneForInferenceBatchParity(t *testing.T) {
 	}
 }
 
+// TestCloneRunsPrefixBatches pins the capacity contract: one clone planned
+// for 8 rows, fed n ∈ 1..8 rows on one pooled executor, computes exactly
+// what a clone built at n computes; more rows than the capacity is an
+// error; and after the full-capacity run no prefix size faults in a buffer.
+func TestCloneRunsPrefixBatches(t *testing.T) {
+	g, x, logits, _ := buildBNNet(13)
+	const capacity = 8
+	cg, cm, err := graph.CloneForInference(g, logits, capacity, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := tensor.NewPool()
+	ex := graph.NewPooledExecutor(cg, graph.FP32, 1, pool)
+	rng := rand.New(rand.NewSource(17))
+	var warm uint64
+	for _, n := range []int{capacity, 1, 2, 3, 4, 5, 6, 7, 8} {
+		in := tensor.RandNormal(tensor.NCHW(n, 2, 4, 4), 0, 1, rng)
+		if err := ex.Forward(map[*graph.Node]*tensor.Tensor{cm[x]: in}); err != nil {
+			t.Fatalf("%d rows: %v", n, err)
+		}
+		got := ex.Value(cm[logits])
+		if got.Shape()[0] != n {
+			t.Fatalf("%d rows: output shape %v", n, got.Shape())
+		}
+		ng, nm, err := graph.CloneForInference(g, logits, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := graph.NewPooledExecutor(ng, graph.FP32, 1, nil)
+		if err := ref.Forward(map[*graph.Node]*tensor.Tensor{nm[x]: in}); err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Value(nm[logits])
+		if !got.Shape().Equal(want.Shape()) {
+			t.Fatalf("%d rows: shape %v, clone built at %d gives %v", n, got.Shape(), n, want.Shape())
+		}
+		for i, v := range want.Data() {
+			if got.Data()[i] != v {
+				t.Fatalf("%d rows: element %d is %v, clone built at %d gives %v", n, i, got.Data()[i], n, v)
+			}
+		}
+		if warm == 0 {
+			warm = pool.Stats().Misses
+		}
+	}
+	if got := pool.Stats().Misses; got != warm {
+		t.Errorf("prefix runs faulted in %d buffers after the full-capacity run", got-warm)
+	}
+	over := tensor.New(tensor.NCHW(capacity+1, 2, 4, 4))
+	if err := ex.Forward(map[*graph.Node]*tensor.Tensor{cm[x]: over}); err == nil {
+		t.Errorf("%d rows into a clone of capacity %d should fail", capacity+1, capacity)
+	}
+	if err := ex.Forward(map[*graph.Node]*tensor.Tensor{cm[x]: tensor.New(tensor.NCHW(2, 2, 4, 5))}); err == nil {
+		t.Error("a feed differing past the batch dimension should fail")
+	}
+}
+
+// TestTrainingGraphRequiresExactFeeds: a graph that is not an inference
+// clone keeps the exact-shape check — fewer rows, more rows, or any other
+// dimension off is an error.
+func TestTrainingGraphRequiresExactFeeds(t *testing.T) {
+	g, x, _, _ := buildBNNet(19)
+	lb, wt := g.Inputs()[1], g.Inputs()[2]
+	g2 := graph.New()
+	x2 := g2.Input("x", tensor.NCHW(4, 2, 4, 4))
+	g2.Apply(nn.ReLU{}, x2)
+	labels := func(in *tensor.Tensor) map[*graph.Node]*tensor.Tensor {
+		return map[*graph.Node]*tensor.Tensor{x: in, lb: tensor.New(tensor.Shape{1, 4, 4}), wt: tensor.New(tensor.Shape{1, 4, 4})}
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		feeds map[*graph.Node]*tensor.Tensor
+	}{
+		{"more rows", g, labels(tensor.New(tensor.NCHW(2, 2, 4, 4)))},
+		{"wider", g, labels(tensor.New(tensor.NCHW(1, 2, 4, 5)))},
+		{"lower rank", g, labels(tensor.New(tensor.Shape{2, 4, 4}))},
+		{"fewer rows", g2, map[*graph.Node]*tensor.Tensor{x2: tensor.New(tensor.NCHW(3, 2, 4, 4))}},
+	} {
+		for _, ex := range []*graph.Executor{graph.NewExecutor(tc.g, graph.FP32, 1), graph.NewPooledExecutor(tc.g, graph.FP32, 1, nil)} {
+			if err := ex.Forward(tc.feeds); err == nil {
+				t.Errorf("%s: feed accepted by a training graph", tc.name)
+			}
+		}
+	}
+}
+
 func TestCloneForInferenceErrors(t *testing.T) {
 	g, _, logits, _ := buildBNNet(5)
 	if _, _, err := graph.CloneForInference(g, logits, 0, nil); err == nil {

@@ -46,7 +46,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -64,41 +63,6 @@ const (
 // HasExit reports whether the network carries an exit tap, i.e. whether the
 // early-exit path is available on this runner.
 func (r *Runner) HasExit() bool { return r.src.Exit != nil }
-
-// exitSizedFor returns (building on first use) the exit-branch execution
-// state for batch b: a clone of the graph prefix up to the exit tap, with
-// the same fusion rules and precision as the full-decode clones.
-func (r *Runner) exitSizedFor(b int) (*sizedNet, error) {
-	if s, ok := r.exitSized[b]; ok {
-		return s, nil
-	}
-	if r.src.Exit == nil {
-		return nil, fmt.Errorf("infer: network has no exit tap")
-	}
-	g, m, err := graph.CloneExitBranch(r.src.Graph, r.src.Logits, r.src.Exit, b, nn.InferenceFusions)
-	if err != nil {
-		return nil, err
-	}
-	if r.cfg.Precision == graph.INT8 {
-		if err := nn.MarkInt8(g); err != nil {
-			return nil, err
-		}
-	}
-	images := m[r.src.Images]
-	if images == nil {
-		return nil, fmt.Errorf("infer: exit tap does not depend on the image input")
-	}
-	s := &sizedNet{
-		g:      g,
-		images: images,
-		logits: m[r.src.Exit],
-		ex:     graph.NewPooledExecutor(g, r.cfg.Precision, int64(b), r.pool),
-		window: tensor.New(tensor.NCHW(b, r.channels, r.cfg.TileH, r.cfg.TileW)),
-	}
-	s.feeds = map[*graph.Node]*tensor.Tensor{images: s.window}
-	r.exitSized[b] = s
-	return s, nil
-}
 
 // Pooled statistics extracted per tap channel: the spatial mean, max, and
 // min, then the mean of each cell of a poolGrid × poolGrid partition of the
@@ -138,7 +102,7 @@ func (r *Runner) ExitScores(items []BatchItem, scores []float64, head *ExitHead)
 	if len(scores) < n {
 		return fmt.Errorf("infer: scores buffer %d too small for batch of %d", len(scores), n)
 	}
-	tap, err := r.exitForward(items)
+	tap, err := r.forward(&r.exit, items)
 	if err != nil {
 		return err
 	}
@@ -171,31 +135,6 @@ func (r *Runner) ExitScores(items []BatchItem, scores []float64, head *ExitHead)
 		scores[i] = s
 	}
 	return nil
-}
-
-// exitForward crops the items into the exit branch's window, runs the
-// branch, and returns the tap tensor ([n, C', h', w']).
-func (r *Runner) exitForward(items []BatchItem) (*tensor.Tensor, error) {
-	n := len(items)
-	if n > r.cfg.maxBatch() {
-		return nil, fmt.Errorf("infer: exit batch of %d exceeds max batch %d", n, r.cfg.maxBatch())
-	}
-	s, err := r.exitSizedFor(n)
-	if err != nil {
-		return nil, err
-	}
-	th, tw := r.cfg.TileH, r.cfg.TileW
-	for i, it := range items {
-		fs := it.Fields.Shape()
-		if fs.Rank() != 3 || fs[0] != r.channels {
-			return nil, fmt.Errorf("infer: fields must be [%d,H,W], got %v", r.channels, fs)
-		}
-		crop(it.Fields, s.window, i, it.Tile.Y, it.Tile.X, th, tw)
-	}
-	if err := s.ex.Forward(s.feeds); err != nil {
-		return nil, fmt.Errorf("infer: exit batch of %d tiles: %w", n, err)
-	}
-	return s.ex.Value(s.logits), nil
 }
 
 // poolTap extracts the featuresPerChannel pooled statistics of one batch
@@ -328,7 +267,7 @@ func (r *Runner) Calibrate(fields []*tensor.Tensor, margin float64) (Calibration
 			for _, t := range plan[start:end] {
 				items = append(items, BatchItem{Fields: f, Tile: t, Mask: mask})
 			}
-			tap, err := r.exitForward(items)
+			tap, err := r.forward(&r.exit, items)
 			if err != nil {
 				return Calibration{}, err
 			}

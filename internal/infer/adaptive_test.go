@@ -139,21 +139,17 @@ func maxLogitDiff(t *testing.T, a, b *Runner, fields *tensor.Tensor, cfg Config)
 	return worst, scale
 }
 
-// tileLogits forwards the tiles one at a time through the runner's batch-1
-// full-decode clone and concatenates the raw logits.
+// tileLogits forwards the tiles one at a time through the runner's
+// full-decode branch and concatenates the raw logits.
 func tileLogits(t *testing.T, r *Runner, fields *tensor.Tensor, plan []Tile) []float64 {
 	t.Helper()
-	s, err := r.sizedFor(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []float64
 	for _, tl := range plan {
-		crop(fields, s.window, 0, tl.Y, tl.X, r.cfg.TileH, r.cfg.TileW)
-		if err := s.ex.Forward(s.feeds); err != nil {
+		logits, err := r.forward(&r.decode, []BatchItem{{Fields: fields, Tile: tl}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range s.ex.Value(s.logits).Data() {
+		for _, v := range logits.Data() {
 			out = append(out, float64(v))
 		}
 	}

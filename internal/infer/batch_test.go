@@ -125,8 +125,9 @@ func TestBatchedMatchesLegacySerialLoop(t *testing.T) {
 }
 
 // TestRunnerReuse checks the persistent engine: repeated Segment calls on
-// one Runner reuse cached executors (including the ragged batch size) and
-// keep producing identical masks, and the pool shows reuse, not growth.
+// one Runner reuse its decode branch (the ragged final batch runs as a
+// prefix of the same clone) and keep producing identical masks, and the
+// pool shows reuse, not growth.
 func TestRunnerReuse(t *testing.T) {
 	const tile, h, w = 16, 37, 45
 	net := buildBNDropNet(t, tile, 0)
@@ -144,8 +145,9 @@ func TestRunnerReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizedAfterFirst := len(r.sized)
-	var missesWarm uint64
+	// The first pass sized the branch at MaxBatch; its ragged final batch
+	// already ran as a prefix, so no later pass faults in a buffer.
+	missesWarm := r.PoolStats().Misses
 	for pass := 0; pass < 4; pass++ {
 		m, err := r.Segment(fields)
 		if err != nil {
@@ -156,15 +158,6 @@ func TestRunnerReuse(t *testing.T) {
 				t.Fatalf("pass %d diverges at pixel %d", pass, i)
 			}
 		}
-		if pass == 0 {
-			// The second pass may still fault in a stray scratch buffer
-			// (release-order skew between batch sizes); after it the pool
-			// must be steady-state.
-			missesWarm = r.PoolStats().Misses
-		}
-	}
-	if len(r.sized) != sizedAfterFirst {
-		t.Errorf("executor cache grew from %d to %d sizes on repeat passes", sizedAfterFirst, len(r.sized))
 	}
 	if got := r.PoolStats().Misses; got != missesWarm {
 		t.Errorf("pool misses grew from %d to %d on warm repeat passes (buffers not reused)", missesWarm, got)
@@ -234,12 +227,15 @@ func TestFromModelBatchedOnClimateSample(t *testing.T) {
 	}
 }
 
-// TestRunnerPoolSteadyState: a warm Runner neither grows its pool nor the
-// heap. 200 calls (RunBatch and ExitScores alternating) over mixed batch
-// sizes, per precision: the pool takes back no more than it handed out (Puts ≤ Gets —
-// the executor recycles only workspace tensors, whatever an op allocates on
-// the heap is the collector's), faults in no new buffer, and the live heap
-// stays flat.
+// TestRunnerPoolSteadyState: each branch of a Runner is one clone that
+// serves every batch size. Per precision, batches of 1, 8, 4, 2, 3, 5, 6,
+// 7, 1, 8 tiles through both branches (RunBatch, then ExitScores) size each
+// branch at 1 and re-size it once to MaxBatch; after that second call the
+// pool faults in nothing, and every mask and score is bit-identical to a
+// MaxBatch 1 Runner's. Then 200 more warm calls: the pool takes back no
+// more than it handed out (Puts ≤ Gets — the executor recycles only
+// workspace tensors, whatever an op allocates on the heap is the
+// collector's), still faults in nothing, and the live heap stays flat.
 func TestRunnerPoolSteadyState(t *testing.T) {
 	const tile, hw = 16, 40
 	net, err := buildClimateNet(tile)
@@ -247,10 +243,16 @@ func TestRunnerPoolSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields := tensor.RandNormal(tensor.Shape{climate.NumChannels, hw, hw}, 0, 1, rand.New(rand.NewSource(6)))
-	sizes := []int{1, 8, 3, 5, 2}
+	sizes := []int{1, 8, 4, 2, 3, 5, 6, 7, 1, 8}
 	for _, prec := range []graph.Precision{graph.FP32, graph.FP16, graph.INT8} {
 		cfg := Config{TileH: tile, TileW: tile, Overlap: 2, Precision: prec, MaxBatch: 8}
 		r, err := NewRunner(net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := cfg
+		serial.MaxBatch = 1
+		ref, err := NewRunner(net, serial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,14 +260,18 @@ func TestRunnerPoolSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mask := tensor.New(tensor.Shape{hw, hw})
+		if len(plan) < cfg.MaxBatch {
+			t.Fatalf("%d tiles, want at least %d", len(plan), cfg.MaxBatch)
+		}
+		mask, refMask := tensor.New(tensor.Shape{hw, hw}), tensor.New(tensor.Shape{hw, hw})
 		items := make([]BatchItem, len(plan))
+		refItems := make([]BatchItem, len(plan))
 		for i, tl := range plan {
 			items[i] = BatchItem{Fields: fields, Tile: tl, Mask: mask}
+			refItems[i] = BatchItem{Fields: fields, Tile: tl, Mask: refMask}
 		}
-		scores := make([]float64, cfg.MaxBatch)
-		call := func(i int) {
-			n := sizes[i%len(sizes)]
+		scores, refScore := make([]float64, cfg.MaxBatch), make([]float64, 1)
+		call := func(n int) {
 			if err := r.RunBatch(items[:n]); err != nil {
 				t.Fatal(err)
 			}
@@ -273,15 +279,38 @@ func TestRunnerPoolSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 2*len(sizes); i++ {
-			call(i)
+		var warm uint64
+		for i, n := range sizes {
+			call(n)
+			if i == 1 {
+				warm = r.PoolStats().Misses
+			}
+			for j := 0; j < n; j++ {
+				if err := ref.RunBatch(refItems[j : j+1]); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.ExitScores(refItems[j:j+1], refScore, nil); err != nil {
+					t.Fatal(err)
+				}
+				if scores[j] != refScore[0] {
+					t.Fatalf("%v: batch of %d: tile %d scores %v, MaxBatch 1 runner %v", prec, n, j, scores[j], refScore[0])
+				}
+			}
+			for p, v := range refMask.Data() {
+				if mask.Data()[p] != v {
+					t.Fatalf("%v: batch of %d: mask differs from the MaxBatch 1 runner's at pixel %d", prec, n, p)
+				}
+			}
+		}
+		ref.Close()
+		if got := r.PoolStats().Misses; got != warm {
+			t.Errorf("%v: pool misses grew from %d to %d after the second call", prec, warm, got)
 		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		warm := r.PoolStats()
 		for i := 0; i < 100; i++ {
-			call(i)
+			call(sizes[i%len(sizes)])
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
@@ -289,8 +318,8 @@ func TestRunnerPoolSteadyState(t *testing.T) {
 		if st.Puts > st.Gets {
 			t.Errorf("%v: pool took back %d buffers but handed out %d", prec, st.Puts, st.Gets)
 		}
-		if st.Misses != warm.Misses {
-			t.Errorf("%v: pool misses grew from %d to %d over 200 warm calls", prec, warm.Misses, st.Misses)
+		if st.Misses != warm {
+			t.Errorf("%v: pool misses grew from %d to %d over 200 warm calls", prec, warm, st.Misses)
 		}
 		if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 256<<10 {
 			t.Errorf("%v: live heap grew by %d KB over 200 warm calls", prec, grown>>10)

@@ -30,8 +30,8 @@ import (
 
 // Network is the slice of a model the inference path needs: feed an image
 // window, read logits. It carries handles into the source (training) graph;
-// execution happens on per-batch-size inference clones built by a Runner,
-// which share the source graph's parameter tensors by reference.
+// execution happens on inference clones built by a Runner, which share the
+// source graph's parameter tensors by reference.
 type Network struct {
 	Graph  *graph.Graph
 	Images *graph.Node // [N, C, th, tw]
@@ -65,7 +65,7 @@ type Config struct {
 	Precision graph.Precision
 	// MaxBatch is the number of tiles stacked into one executor run
 	// (0 → 1, the serial path). The final batch of a pass may be ragged;
-	// the Runner keeps one replanned executor per batch size it has seen.
+	// any batch up to a branch's capacity runs on that branch's one clone.
 	MaxBatch int
 }
 
@@ -199,24 +199,30 @@ func keep(window int, origins []int, i int) (int, int) {
 	return lo, hi
 }
 
-// sizedNet is one batch size's execution state: an inference clone of the
-// source graph rebound to that batch, a pooled executor planned for it, and
-// the persistent window tensor tiles are cropped into.
-type sizedNet struct {
+// branch is one of a Runner's two execution paths: the full decode (root
+// is the source logits) or the early exit (root is the source exit tap).
+// It holds one inference clone of the source subgraph computing root,
+// planned for a capacity of window.Shape()[0] rows, that clone's pooled
+// executor, and the window tiles are cropped into; a batch of n tiles runs
+// as the clone's n-row prefix. g is nil until the branch is first sized.
+type branch struct {
+	root   *graph.Node
 	g      *graph.Graph
-	images *graph.Node
-	logits *graph.Node
+	out    *graph.Node
 	ex     *graph.Executor
-	window *tensor.Tensor
-	feeds  map[*graph.Node]*tensor.Tensor
+	window *tensor.Tensor                 // [capacity, C, th, tw]
+	feed   *tensor.Tensor                 // the first n rows of window
+	feeds  map[*graph.Node]*tensor.Tensor // clone's image input → feed
 }
 
 // Runner is a persistent tiled-segmentation engine over one network: the
 // per-replica worker of the serving stack, and the engine behind one-shot
-// Run. It owns an isolated tensor pool (replicas never contend) and a cache
-// of executors keyed by batch size — a new batch size (the ragged final
-// batch of a pass, typically) triggers one clone + replan; every later
-// batch of that size reuses the plan and its pooled buffers.
+// Run. It owns an isolated tensor pool (replicas never contend) shared by
+// its two branches, full decode and early exit, each of which is one
+// inference clone and one pooled executor. A branch is sized by its first
+// batch (or by Warm) and re-sized at most once, straight to MaxBatch; every
+// batch of n ≤ capacity tiles runs as an n-row prefix of the same clone on
+// the same recycled buffers.
 //
 // A Runner executes inference clones with per-instance kernel state, so it
 // must be used by one goroutine at a time. The clones share the source
@@ -229,17 +235,14 @@ type Runner struct {
 	channels int
 	classes  int
 	pool     *tensor.Pool
-	sized    map[int]*sizedNet
-	// exitSized caches the exit-branch clones (rooted at src.Exit) per
-	// batch size, built lazily like sized. Nil entries never appear: the
-	// map is only populated when the network has an exit tap.
-	exitSized map[int]*sizedNet
-	feats     []float64 // ExitScores' pooled-feature scratch
+	decode   branch
+	exit     branch    // root is nil when the network has no exit tap
+	feats    []float64 // ExitScores' pooled-feature scratch
 }
 
 // NewRunner validates the configuration against the network window and
-// returns an engine with no executors built yet (they are created on first
-// use, per batch size).
+// returns an engine with no executors built yet (each branch is built on
+// first use, or by Warm).
 func NewRunner(net *Network, cfg Config) (*Runner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -253,13 +256,13 @@ func NewRunner(net *Network, cfg Config) (*Runner, error) {
 			is[2], is[3], cfg.TileH, cfg.TileW)
 	}
 	return &Runner{
-		src:       net,
-		cfg:       cfg,
-		channels:  is[1],
-		classes:   net.Logits.Shape[1],
-		pool:      tensor.NewPool(),
-		sized:     make(map[int]*sizedNet),
-		exitSized: make(map[int]*sizedNet),
+		src:      net,
+		cfg:      cfg,
+		channels: is[1],
+		classes:  net.Logits.Shape[1],
+		pool:     tensor.NewPool(),
+		decode:   branch{root: net.Logits},
+		exit:     branch{root: net.Exit},
 	}, nil
 }
 
@@ -272,70 +275,119 @@ func (r *Runner) MaxBatch() int { return r.cfg.maxBatch() }
 // PoolStats returns the runner's workspace-pool counters.
 func (r *Runner) PoolStats() tensor.PoolStats { return r.pool.Stats() }
 
-// sizedFor returns (building on first use) the execution state for batch b.
-func (r *Runner) sizedFor(b int) (*sizedNet, error) {
-	if s, ok := r.sized[b]; ok {
-		return s, nil
+// prepare makes branch b able to run n rows: it builds the branch at
+// capacity n on first use and, when n outgrows that capacity, rebuilds it
+// once at MaxBatch, returning the old clone's buffers to the pool.
+func (r *Runner) prepare(b *branch, n int) error {
+	if b.root == nil {
+		return fmt.Errorf("infer: network has no exit tap")
 	}
-	g, m, err := graph.CloneForInference(r.src.Graph, r.src.Logits, b, nn.InferenceFusions)
+	if b.g != nil && n <= b.window.Shape()[0] {
+		return nil
+	}
+	capacity := n
+	if b.g != nil {
+		capacity = r.cfg.maxBatch()
+		b.release()
+	}
+	g, m, err := graph.CloneExitBranch(r.src.Graph, r.src.Logits, b.root, capacity, nn.InferenceFusions)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if r.cfg.Precision == graph.INT8 {
 		if err := nn.MarkInt8(g); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	images := m[r.src.Images]
 	if images == nil {
-		return nil, fmt.Errorf("infer: logits do not depend on the image input")
+		return fmt.Errorf("infer: %s does not depend on the image input", b.root.Label)
 	}
-	s := &sizedNet{
+	feed := new(tensor.Tensor)
+	*b = branch{
+		root:   b.root,
 		g:      g,
-		images: images,
-		logits: m[r.src.Logits],
-		ex:     graph.NewPooledExecutor(g, r.cfg.Precision, int64(b), r.pool),
-		window: tensor.New(tensor.NCHW(b, r.channels, r.cfg.TileH, r.cfg.TileW)),
+		out:    m[b.root],
+		ex:     graph.NewPooledExecutor(g, r.cfg.Precision, int64(capacity), r.pool),
+		window: tensor.New(tensor.NCHW(capacity, r.channels, r.cfg.TileH, r.cfg.TileW)),
+		feed:   feed,
+		feeds:  map[*graph.Node]*tensor.Tensor{images: feed},
 	}
-	s.feeds = map[*graph.Node]*tensor.Tensor{images: s.window}
-	r.sized[b] = s
-	return s, nil
+	return nil
 }
 
-// Warm builds the execution state for the given batch size ahead of use:
-// the inference clone, its pooled executor, and (when the network carries
-// an exit tap) the exit-branch clone. The serving fleet's rolling hot-swap
-// warms each new weight generation's runners during the prepare phase, so
-// the first post-flip batch pays no clone-and-replan latency — the swap is
-// make-before-break for tail latency, not just for correctness.
-func (r *Runner) Warm(batch int) error {
+// exec runs branch b on the first n rows of its window and returns the
+// branch output ([n, ...], valid until the branch runs again).
+func (b *branch) exec(n int) (*tensor.Tensor, error) {
+	b.feed.ViewRows(b.window, n)
+	if err := b.ex.Forward(b.feeds); err != nil {
+		return nil, fmt.Errorf("infer: batch of %d tiles: %w", n, err)
+	}
+	return b.ex.Value(b.out), nil
+}
+
+// release returns the branch's buffers to the pool and drops its clone and
+// per-op kernel caches; the branch is rebuilt on its next use.
+func (b *branch) release() {
+	if b.g == nil {
+		return
+	}
+	b.ex.Release()
+	graph.ReleaseOpCaches(b.g)
+	*b = branch{root: b.root}
+}
+
+// forward crops the items into branch b's window, runs the branch, and
+// returns its output for the len(items) tiles.
+func (r *Runner) forward(b *branch, items []BatchItem) (*tensor.Tensor, error) {
+	n := len(items)
+	if n > r.cfg.maxBatch() {
+		return nil, fmt.Errorf("infer: batch of %d exceeds max batch %d", n, r.cfg.maxBatch())
+	}
+	if err := r.prepare(b, n); err != nil {
+		return nil, err
+	}
+	th, tw := r.cfg.TileH, r.cfg.TileW
+	for i, it := range items {
+		fs := it.Fields.Shape()
+		if fs.Rank() != 3 || fs[0] != r.channels {
+			return nil, fmt.Errorf("infer: fields must be [%d,H,W], got %v", r.channels, fs)
+		}
+		crop(it.Fields, b.window, i, it.Tile.Y, it.Tile.X, th, tw)
+	}
+	return b.exec(n)
+}
+
+// Warm sizes the decode branch for batch tiles — and the early-exit branch
+// too when exit is set and the network has an exit tap — and runs one real
+// pass through each, so a first batch of up to that many tiles pays no
+// clone, replan or buffer fault. The serving fleet's rolling hot-swap warms
+// each new weight generation's runners during the prepare phase, so the
+// swap is make-before-break for tail latency, not just for correctness.
+func (r *Runner) Warm(batch int, exit bool) error {
 	if batch < 1 || batch > r.cfg.maxBatch() {
 		return fmt.Errorf("infer: warm batch %d outside [1, %d]", batch, r.cfg.maxBatch())
 	}
-	if _, err := r.sizedFor(batch); err != nil {
-		return err
+	branches := []*branch{&r.decode}
+	if exit && r.HasExit() {
+		branches = append(branches, &r.exit)
 	}
-	if r.src.Exit != nil {
-		if _, err := r.exitSizedFor(batch); err != nil {
+	for _, b := range branches {
+		if err := r.prepare(b, batch); err != nil {
+			return err
+		}
+		if _, err := b.exec(batch); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close releases every cached executor's buffers back to the runner's pool
-// and drops per-op kernel caches, so a retired replica pins no memory.
+// Close releases both branches' buffers back to the runner's pool and
+// drops per-op kernel caches, so a retired replica pins no memory.
 func (r *Runner) Close() {
-	for b, s := range r.sized {
-		s.ex.Release()
-		graph.ReleaseOpCaches(s.g)
-		delete(r.sized, b)
-	}
-	for b, s := range r.exitSized {
-		s.ex.Release()
-		graph.ReleaseOpCaches(s.g)
-		delete(r.exitSized, b)
-	}
+	r.decode.release()
+	r.exit.release()
 }
 
 // BatchItem is one tile of one segmentation request: where to read the
@@ -352,29 +404,13 @@ type BatchItem struct {
 // computed with arithmetic independent of each other, so any grouping of
 // tiles into batches produces identical masks.
 func (r *Runner) RunBatch(items []BatchItem) error {
-	n := len(items)
-	if n == 0 {
+	if len(items) == 0 {
 		return nil
 	}
-	if n > r.cfg.maxBatch() {
-		return fmt.Errorf("infer: batch of %d exceeds max batch %d", n, r.cfg.maxBatch())
-	}
-	s, err := r.sizedFor(n)
+	logits, err := r.forward(&r.decode, items)
 	if err != nil {
 		return err
 	}
-	th, tw := r.cfg.TileH, r.cfg.TileW
-	for i, it := range items {
-		fs := it.Fields.Shape()
-		if fs.Rank() != 3 || fs[0] != r.channels {
-			return fmt.Errorf("infer: fields must be [%d,H,W], got %v", r.channels, fs)
-		}
-		crop(it.Fields, s.window, i, it.Tile.Y, it.Tile.X, th, tw)
-	}
-	if err := s.ex.Forward(s.feeds); err != nil {
-		return fmt.Errorf("infer: batch of %d tiles: %w", n, err)
-	}
-	logits := s.ex.Value(s.logits)
 	for i, it := range items {
 		r.stitch(logits, i, it)
 	}

@@ -2,7 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Cache-blocked GEMM geometry. The kernel follows the classic panel-packing
@@ -256,25 +256,40 @@ func scaleRow(row []float32, beta float32) {
 
 // ---------- blocked path: packed panels + register micro-kernel ----------
 
-// panelCache recycles GEMM packing panels without a shared mutex: every
-// concurrent executor — training ranks, serving replicas — packs panels on
-// every blocked call, and routing that traffic through the size-class
-// pool's global lock made packing scratch the one place replicas contend.
-// sync.Pool gives per-P free lists (no lock on the fast path) and lets the
-// GC trim idle panels.
-var panelCache = sync.Pool{New: func() any { return new([]float32) }}
+// panelSlots is the free list of GEMM packing panels: a fixed array of
+// slots, each empty or holding one idle panel. Every concurrent executor —
+// training ranks, serving replicas — packs panels on every blocked call,
+// so the list takes no lock: a taker claims a slot by swapping its panel
+// out, a giver by swapping into an empty slot. Unlike a sync.Pool, the
+// collector never empties it, so how much a warm GEMM allocates does not
+// depend on when the last collection ran.
+var panelSlots [64]atomic.Pointer[panel]
 
-// getPanel returns a packing panel of at least n elements.
-func getPanel(n int) *[]float32 {
-	p := panelCache.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
+// panel is one packing buffer. buf is set once at creation and never
+// resliced, so a scan may read its length while another goroutine holds
+// the panel.
+type panel struct{ buf []float32 }
+
+// getPanel returns the first idle panel of at least n elements, or a new
+// one when none fits.
+func getPanel(n int) *panel {
+	for i := range panelSlots {
+		if p := panelSlots[i].Load(); p != nil && len(p.buf) >= n && panelSlots[i].CompareAndSwap(p, nil) {
+			return p
+		}
 	}
-	*p = (*p)[:n]
-	return p
+	return &panel{buf: make([]float32, n)}
 }
 
-func putPanel(p *[]float32) { panelCache.Put(p) }
+// putPanel parks p in the first empty slot; when all are full, p is left
+// to the collector.
+func putPanel(p *panel) {
+	for i := range panelSlots {
+		if panelSlots[i].CompareAndSwap(nil, p) {
+			return
+		}
+	}
+}
 
 // gemmBlocked is the blocked driver of both kernel sets: the scalar 4×8
 // micro-kernel below, and — avx2 set — the 6×16 assembly micro-kernel of
@@ -297,9 +312,9 @@ func gemmBlocked(avx2, transA, transB bool, m, n, k int, alpha float32, a []floa
 	nc, kc, mc = min(nc, n), min(kc, k), min(mc, m)
 	mcBlocks := (m + mc - 1) / mc
 
-	bPanelPtr := getPanel(((nc + nr - 1) / nr) * nr * kc)
-	bPanel := *bPanelPtr
-	defer putPanel(bPanelPtr)
+	bp := getPanel(((nc + nr - 1) / nr) * nr * kc)
+	bPanel := bp.buf
+	defer putPanel(bp)
 
 	// The fan-out state travels by value: a closure capturing it would
 	// force a heap allocation per blocked call even when the call runs
@@ -366,9 +381,9 @@ func (g gemmBlock) runParallel(mcBlocks, chunks int) {
 
 // run packs and multiplies M blocks [blo, bhi).
 func (g gemmBlock) run(blo, bhi int) {
-	aPanelPtr := getPanel(g.aPanelMax)
-	aPanel := *aPanelPtr
-	defer putPanel(aPanelPtr)
+	ap := getPanel(g.aPanelMax)
+	aPanel := ap.buf
+	defer putPanel(ap)
 	if g.avx2 {
 		g.runAVX2(blo, bhi, aPanel)
 		return

@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -22,9 +24,35 @@ func benchGemm(b *testing.B, m, n, k int) {
 	}
 	b.ReportMetric(float64(2*m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
-func BenchmarkGemmConvLike(b *testing.B) { benchGemm(b, 32, 1024, 288) }
-func BenchmarkGemmBig(b *testing.B)      { benchGemm(b, 256, 512, 512) }
-func BenchmarkGemmTiny(b *testing.B)     { benchGemm(b, 8, 256, 72) }
+
+// BenchmarkGemmConvLike times the conv-shaped product alone, and from 8
+// goroutines at once — training ranks or serving replicas sharing the
+// panel free list, its contended case.
+func BenchmarkGemmConvLike(b *testing.B) {
+	const m, n, k = 32, 1024, 288
+	b.Run("serial", func(b *testing.B) { benchGemm(b, m, n, k) })
+	b.Run("8goroutines", func(b *testing.B) {
+		a, bb, _, _, _ := convLikeOperands(m, n, k)
+		var done atomic.Int64
+		var wg sync.WaitGroup
+		b.ResetTimer()
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := make([]float32, m*n)
+				for done.Add(1) <= int64(b.N) {
+					Gemm(false, false, m, n, k, 1, a, k, bb, n, 0, c, n)
+				}
+			}()
+		}
+		wg.Wait()
+		b.ReportMetric(float64(2*m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
+}
+
+func BenchmarkGemmBig(b *testing.B)  { benchGemm(b, 256, 512, 512) }
+func BenchmarkGemmTiny(b *testing.B) { benchGemm(b, 8, 256, 72) }
 
 // BenchmarkGemmCrossover times the small (scalar axpy) kernel against the
 // blocked AVX2 kernel on the same shape, bypassing dispatch — the data

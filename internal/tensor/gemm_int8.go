@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // INT8 GEMM — the quantized inference kernel behind the serving stack's
@@ -21,20 +20,10 @@ import (
 // overflow: k·127² must stay below 2³¹−1.
 const maxInt8GemmK = (1<<31 - 1) / (127 * 127)
 
-// accCache recycles int32 accumulator rows like gemm.go's panelCache:
-// per-P free lists, no lock on the hot path.
-var accCache = sync.Pool{New: func() any { return new([]int32) }}
-
-func getAccRow(n int) *[]int32 {
-	p := accCache.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putAccRow(p *[]int32) { accCache.Put(p) }
+// int8Strip is the column width of gemmInt8Rows' int32 accumulator, which
+// lives on the stack: 2 KB, so a row strip stays in L1 while the K loop
+// streams B against it.
+const int8Strip = 512
 
 // QuantizeActInt8 quantizes a float32 activation panel to symmetric int8
 // codes with one dynamic per-tensor scale (maxAbs/127) and returns that
@@ -108,55 +97,56 @@ func GemmInt8(m, n, k int, a []int8, aScales []float32, b []int8, bScale float32
 	gemmInt8Rows(0, m, n, k, a, aScales, b, bScale, c)
 }
 
-// gemmInt8Rows computes C rows [lo, hi): 4-deep unrolled int32 axpy over
-// the B panel with an all-zero weight-group skip, then the dequantizing
-// epilogue.
+// gemmInt8Rows computes C rows [lo, hi), each in int8Strip-column strips:
+// 4-deep unrolled int32 axpy over the B panel with an all-zero
+// weight-group skip, then the dequantizing epilogue. Integer sums are
+// exact, so the strip width does not change a single output bit.
 func gemmInt8Rows(lo, hi, n, k int, a []int8, aScales []float32, b []int8, bScale float32, c []float32) {
-	accPtr := getAccRow(n)
-	acc := *accPtr
-	defer putAccRow(accPtr)
+	var strip [int8Strip]int32
 	for i := lo; i < hi; i++ {
 		ai := a[i*k : (i+1)*k]
-		for j := range acc {
-			acc[j] = 0
-		}
-		p := 0
-		var av [4]int32
-		for ; p+3 < k; p += 4 {
-			a0 := int32(ai[p])
-			a1 := int32(ai[p+1])
-			a2 := int32(ai[p+2])
-			a3 := int32(ai[p+3])
-			if a0|a1|a2|a3 == 0 {
-				continue
-			}
-			b0 := b[p*n : p*n+n]
-			b1 := b[(p+1)*n : (p+1)*n+n]
-			b2 := b[(p+2)*n : (p+2)*n+n]
-			b3 := b[(p+3)*n : (p+3)*n+n]
-			// AVX2 quad-axpy (sign-extend + VPMULLD + VPADDD): exact int32
-			// arithmetic, so the vector prefix is bit-identical to the
-			// scalar loop — the INT8 path has no ISA tolerance at all.
-			av[0], av[1], av[2], av[3] = a0, a1, a2, a3
-			j := simdInt8AxpyQuad(&av, b0, b1, b2, b3, acc)
-			for ; j < len(acc); j++ {
-				acc[j] += a0*int32(b0[j]) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
-			}
-		}
-		for ; p < k; p++ {
-			ap := int32(ai[p])
-			if ap == 0 {
-				continue
-			}
-			bp := b[p*n : p*n+n]
-			for j := range acc {
-				acc[j] += ap * int32(bp[j])
-			}
-		}
 		s := aScales[i] * bScale
-		ci := c[i*n : i*n+n]
-		for j, v := range acc {
-			ci[j] = float32(v) * s
+		for j0 := 0; j0 < n; j0 += int8Strip {
+			acc := strip[:min(int8Strip, n-j0)]
+			clear(acc)
+			w := len(acc)
+			p := 0
+			var av [4]int32
+			for ; p+3 < k; p += 4 {
+				a0 := int32(ai[p])
+				a1 := int32(ai[p+1])
+				a2 := int32(ai[p+2])
+				a3 := int32(ai[p+3])
+				if a0|a1|a2|a3 == 0 {
+					continue
+				}
+				b0 := b[p*n+j0 : p*n+j0+w]
+				b1 := b[(p+1)*n+j0 : (p+1)*n+j0+w]
+				b2 := b[(p+2)*n+j0 : (p+2)*n+j0+w]
+				b3 := b[(p+3)*n+j0 : (p+3)*n+j0+w]
+				// AVX2 quad-axpy (sign-extend + VPMULLD + VPADDD): exact int32
+				// arithmetic, so the vector prefix is bit-identical to the
+				// scalar loop — the INT8 path has no ISA tolerance at all.
+				av[0], av[1], av[2], av[3] = a0, a1, a2, a3
+				j := simdInt8AxpyQuad(&av, b0, b1, b2, b3, acc)
+				for ; j < w; j++ {
+					acc[j] += a0*int32(b0[j]) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
+				}
+			}
+			for ; p < k; p++ {
+				ap := int32(ai[p])
+				if ap == 0 {
+					continue
+				}
+				bp := b[p*n+j0 : p*n+j0+w]
+				for j := range acc {
+					acc[j] += ap * int32(bp[j])
+				}
+			}
+			ci := c[i*n+j0 : i*n+j0+w]
+			for j, v := range acc {
+				ci[j] = float32(v) * s
+			}
 		}
 	}
 }

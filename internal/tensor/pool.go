@@ -68,8 +68,7 @@ func NewPool() *Pool {
 	}
 }
 
-// defaultPool backs package-internal scratch (GEMM packing panels) and any
-// Workspace built with NewWorkspace(nil).
+// defaultPool backs any Workspace built with NewWorkspace(nil).
 var defaultPool = NewPool()
 
 // DefaultPool returns the shared package-level pool.
@@ -333,9 +332,29 @@ func (p *Pool) ReleaseTensor(t *Tensor) {
 // (graph.ScratchOp): im2col/col2im panels, batch-norm temporaries, fused-op
 // staging, and op outputs all draw from its pool instead of the Go heap.
 // A Workspace is a thin view over a Pool; it is safe for concurrent use to
-// the extent the pool is.
+// the extent the pool is, with SetRows called only between runs.
 type Workspace struct {
 	pool *Pool
+	// rows of capRows: the prefix run in progress (see SetRows).
+	rows, capRows int
+}
+
+// SetRows declares that the kernels about to run compute the first rows
+// rows of a batch planned for capRows. Until the next call, a tensor whose
+// leading dimension is rows is carved from a buffer sized for capRows rows,
+// so every prefix size reuses the buffers of a full-capacity run instead of
+// faulting in a set of its own; only the rows in use are cleared or
+// written. SetRows(0, 0) ends the prefix run.
+func (w *Workspace) SetRows(rows, capRows int) { w.rows, w.capRows = rows, capRows }
+
+// tensorData returns pooled storage for a tensor of the given shape,
+// widened to capRows rows during a prefix run.
+func (w *Workspace) tensorData(shape Shape) []float32 {
+	n := shape.NumElements()
+	if w.rows > 0 && w.rows < w.capRows && len(shape) > 0 && shape[0] == w.rows {
+		return w.pool.GetF32(n / w.rows * w.capRows)[:n]
+	}
+	return w.pool.GetF32(n)
 }
 
 // NewWorkspace returns a workspace over the given pool (nil → DefaultPool).
@@ -377,10 +396,18 @@ func (w *Workspace) GetI8(n int) []int8 { return w.pool.GetI8(n) }
 func (w *Workspace) PutI8(buf []int8) { w.pool.PutI8(buf) }
 
 // NewTensor returns a zero-filled pooled tensor (see Pool.NewTensor).
-func (w *Workspace) NewTensor(shape Shape) *Tensor { return w.pool.NewTensor(shape) }
+func (w *Workspace) NewTensor(shape Shape) *Tensor {
+	t := w.NewTensorUninit(shape)
+	clear(t.data)
+	return t
+}
 
 // NewTensorUninit returns a pooled tensor with unspecified contents.
-func (w *Workspace) NewTensorUninit(shape Shape) *Tensor { return w.pool.NewTensorUninit(shape) }
+func (w *Workspace) NewTensorUninit(shape Shape) *Tensor {
+	t := w.pool.newHeader(shape)
+	t.data = w.tensorData(shape)
+	return t
+}
 
 // Release returns a tensor's storage to the pool.
 func (w *Workspace) Release(t *Tensor) { w.pool.ReleaseTensor(t) }

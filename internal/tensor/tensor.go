@@ -108,6 +108,19 @@ func (t *Tensor) Reshape(newShape Shape) *Tensor {
 	return &Tensor{shape: newShape.Clone(), data: t.data}
 }
 
+// ViewRows points t at the first n rows (leading-dimension entries) of src:
+// t becomes an [n, src.Shape()[1:]...] view sharing src's storage. t's
+// header and shape storage are reused, so re-pointing one view per run
+// allocates nothing; a zero Tensor (new(Tensor)) is a valid t.
+func (t *Tensor) ViewRows(src *Tensor, n int) {
+	if src.shape.Rank() == 0 || n < 0 || n > src.shape[0] {
+		panic(fmt.Sprintf("tensor: cannot view %d rows of %v", n, src.shape))
+	}
+	t.shape = append(t.shape[:0], src.shape...)
+	t.shape[0] = n
+	t.data = src.data[:n*(len(src.data)/src.shape[0])]
+}
+
 // At returns the element at the given multi-dimensional index.
 func (t *Tensor) At(idx ...int) float32 {
 	return t.data[t.offset(idx)]
