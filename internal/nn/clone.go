@@ -11,7 +11,7 @@ import "repro/internal/graph"
 // reference when a graph is cloned for serving.
 
 // CloneForInference implements graph.InferenceCloner: same geometry, no
-// panel cache, direct kernel for eligible shapes (see infconv.go).
+// panel cache, convolutions through tensor.ConvGemm.
 func (c *Conv2D) CloneForInference() graph.Op {
 	return &Conv2D{Stride: c.Stride, Pad: c.Pad, Dilation: c.Dilation, Inference: true}
 }

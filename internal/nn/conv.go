@@ -31,10 +31,11 @@ import (
 type Conv2D struct {
 	Stride, Pad, Dilation int
 
-	// Inference marks an instance cloned for serving: eligible geometries
-	// take the direct (im2col-free) kernel — bit-identical to the GEMM
-	// formulation, see infconv.go — and the forward panel is never cached,
-	// since no backward pass will want it.
+	// Inference marks an instance cloned for serving: non-pointwise
+	// geometries run tensor.ConvGemm — bit-identical to the training
+	// im2col+GEMM forward, without writing the im2col panel on the blocked
+	// GEMM path — and no forward panel is cached, since no backward pass
+	// will want it.
 	Inference bool
 
 	fwdCols []float32    // im2col panels from the last scratch forward (all batch elements)
@@ -139,22 +140,12 @@ func (c *Conv2D) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspace) *ten
 		return out
 	}
 	if c.Inference {
-		if directConvEligible(g, cout, cols, k) {
-			for b := 0; b < n; b++ {
-				directConv(x.Data()[b*imSize:(b+1)*imSize], cin, g, w.Data(),
-					out.Data()[b*cout*cols:(b+1)*cout*cols], cout, wsp)
-			}
-			return out
-		}
-		// Ineligible geometry: im2col + GEMM through workspace scratch, no
-		// instance cache (nothing will read it back).
-		col := wsp.GetF32(k * cols)
+		// No backward pass will read the panel back: the blocked GEMM packs
+		// straight from the image (see tensor.ConvGemm).
 		for b := 0; b < n; b++ {
-			tensor.Im2col(x.Data()[b*imSize:(b+1)*imSize], cin, g, col)
-			tensor.Gemm(false, false, cout, cols, k, 1, w.Data(), k, col, cols,
-				0, out.Data()[b*cout*cols:], cols)
+			tensor.ConvGemm(w.Data(), cout, x.Data()[b*imSize:(b+1)*imSize], cin, g,
+				out.Data()[b*cout*cols:(b+1)*cout*cols], wsp)
 		}
-		wsp.PutF32(col)
 		return out
 	}
 	// Expand into the instance-cached panel so the backward weight gradient

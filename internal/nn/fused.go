@@ -81,7 +81,7 @@ func (c *FusedConvBias) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspac
 	bd := bias.Data()
 	pointwise := is1x1(g)
 	int8q := cv.Inference && cv.qw != nil
-	direct := !int8q && cv.Inference && directConvEligible(g, cout, cols, k)
+	implicit := !int8q && cv.Inference && !pointwise
 	var infCol []float32
 	var bq []int8
 	if int8q {
@@ -94,18 +94,11 @@ func (c *FusedConvBias) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspac
 		}
 		bq = wsp.GetI8(k * cols)
 		defer wsp.PutI8(bq)
-	} else if !pointwise && !direct {
-		if cv.Inference {
-			// No backward pass will read the panel back: workspace scratch
-			// instead of the instance cache.
-			infCol = wsp.GetF32(k * cols)
-			defer wsp.PutF32(infCol)
-		} else {
-			if cap(cv.fwdCols) < n*k*cols {
-				cv.fwdCols = make([]float32, n*k*cols)
-			}
-			cv.fwdCols = cv.fwdCols[:n*k*cols]
+	} else if !pointwise && !cv.Inference {
+		if cap(cv.fwdCols) < n*k*cols {
+			cv.fwdCols = make([]float32, n*k*cols)
 		}
+		cv.fwdCols = cv.fwdCols[:n*k*cols]
 	} else {
 		cv.fwdCols = nil
 	}
@@ -113,19 +106,17 @@ func (c *FusedConvBias) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspac
 		tile := out.Data()[b*cout*cols : (b+1)*cout*cols]
 		if int8q {
 			cv.int8Tile(x.Data()[b*imSize:(b+1)*imSize], cin, g, tile, cout, infCol, bq)
-		} else if direct {
-			directConv(x.Data()[b*imSize:(b+1)*imSize], cin, g, w.Data(), tile, cout, wsp)
+		} else if implicit {
+			// No backward pass will read the panel back (see
+			// tensor.ConvGemm).
+			tensor.ConvGemm(w.Data(), cout, x.Data()[b*imSize:(b+1)*imSize], cin, g, tile, wsp)
 		} else {
 			// The im2col panel lands in the inner conv's cache, so the
 			// backward weight gradient reuses it; 1×1 convolutions skip it
 			// entirely.
 			col := x.Data()[b*imSize : (b+1)*imSize]
 			if !pointwise {
-				if infCol != nil {
-					col = infCol
-				} else {
-					col = cv.fwdCols[b*k*cols : (b+1)*k*cols]
-				}
+				col = cv.fwdCols[b*k*cols : (b+1)*k*cols]
 				tensor.Im2col(x.Data()[b*imSize:(b+1)*imSize], cin, g, col)
 			}
 			tensor.Gemm(false, false, cout, cols, k, 1, w.Data(), k, col, cols, 0, tile, cols)

@@ -12,9 +12,10 @@ import (
 // BatchNorm.PerSample) and the rectifier applied in one pass over the
 // activation, saving the intermediate tensor and its DRAM round-trip. The
 // per-element arithmetic — normalize with float64 statistics, scale/shift
-// folding, then max(·, 0) — is identical to the unfused pair, so fused and
-// unfused graphs produce the same bits. Forward-only: the op exists only in
-// inference clones and has no backward pass.
+// folding, then the rectifier t > 0 ? t : 0, which maps NaN and −0 to +0 —
+// is identical to the unfused pair, so fused and unfused graphs produce the
+// same bits. Forward-only: the op exists only in inference clones and has
+// no backward pass.
 type FusedBNReLU struct {
 	Eps float64
 }

@@ -186,8 +186,9 @@ func (b *BatchNorm) forwardPerSample(x, gamma, beta *tensor.Tensor, wsp *tensor.
 // train-mode path at batch 1 (same summation order, same float64
 // intermediates, same scale/shift folding), which is what makes batched
 // tiled inference bit-identical to the serial tile loop. With relu the
-// rectifier is applied in the same output pass — max(·, 0) of the very
-// value the unfused pair would materialize.
+// rectifier is applied in the same output pass to the very value the
+// unfused pair would materialize: rectify, which maps NaN and −0 to +0
+// exactly as ReLU's t > 0 ? t : 0 does.
 func perSampleBNForward(x, gamma, beta *tensor.Tensor, eps float64, relu bool, wsp *tensor.Workspace) *tensor.Tensor {
 	xs := x.Shape()
 	n, c, hw := xs[0], xs[1], xs[2]*xs[3]
@@ -212,23 +213,42 @@ func perSampleBNForward(x, gamma, beta *tensor.Tensor, eps float64, relu bool, w
 			inv := 1 / math.Sqrt(variance+eps)
 			scale := float32(float64(gd[ch]) * inv)
 			shift := float32(float64(bd[ch]) - float64(gd[ch])*m*inv)
-			dst := od[base : base+hw]
-			if relu {
-				for i, v := range src {
-					if t := v*scale + shift; t > 0 {
-						dst[i] = t
-					} else {
-						dst[i] = 0
-					}
-				}
-			} else {
-				for i, v := range src {
-					dst[i] = v*scale + shift
-				}
-			}
+			normalizeRow(od[base:base+hw], src, scale, shift, relu)
 		}
 	}
 	return out
+}
+
+// normalizeRow writes dst[i] = src[i]·scale + shift, rectified when relu.
+// It stays out of line: inlined into perSampleBNForward, the loop would
+// keep its index and bounds in stack slots.
+//
+//go:noinline
+func normalizeRow(dst, src []float32, scale, shift float32, relu bool) {
+	dst = dst[:len(src)]
+	if relu {
+		for i, v := range src {
+			dst[i] = rectify(v*scale + shift)
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = v*scale + shift
+	}
+}
+
+// rectify returns t > 0 ? t : 0, bit for bit — NaN and −0 give +0 —
+// without a branch on the value: the positive finite floats and +Inf are
+// exactly the bit patterns 0x00000001…0x7f800000, so one unsigned compare
+// selects them, and the compiler lowers the select to a conditional move.
+// Activations straddle zero at random, so a branch here mispredicts on
+// about half the elements.
+func rectify(t float32) float32 {
+	b := math.Float32bits(t)
+	if b-1 >= 0x7f800000 {
+		b = 0
+	}
+	return math.Float32frombits(b)
 }
 
 // Backward implements graph.Op, using the standard batch-norm gradient:

@@ -1,0 +1,286 @@
+package tensor
+
+// Inference convolution: one image's out[cout, OutH·OutW] = w[cout, k] ·
+// im2col(x), k = cin·KH·KW, without ever writing the im2col matrix.
+//
+// The training forward materializes the im2col panel (k·cols floats, one
+// full write pass) because its backward weight gradient reads it back; the
+// blocked GEMM then copies it a second time into its packed B panel. At
+// inference nothing reads the panel back, so ConvGemm copies the image once
+// into a zero-bordered buffer of cin·PH·PW floats — roughly KH·KW× smaller
+// than the panel — and takes every im2col element from there: each im2col
+// row is the bordered image shifted by one kernel tap. It dispatches exactly
+// as Gemm would on the im2col formulation, and each route performs, for
+// every output element, the floating-point operations of that formulation:
+//
+//   - Small path (GemmUsesSmallPath): the direct convolution for stride 1,
+//     which mirrors gemmSmallRows' axpy kernel term for term — taps grouped
+//     four at a time with the same left-associated a0·b0 + a1·b1 + a2·b2 +
+//     a3·b3 update, the same all-four-zero group skip, and the same
+//     single-tap tail with its per-tap zero skip. Strided small shapes keep
+//     Im2col + Gemm.
+//   - Blocked path: Gemm's own blocked driver, with a B source that packs
+//     its NR-wide strips straight from the bordered image (convImage.pack).
+//     The packed panel holds exactly the bytes packB/packB16 would write
+//     from Im2col(x), so the K-block and M-block loops and the micro-kernels
+//     see the same operands in the same order.
+//
+// Border positions hold literal +0, as the im2col panel pads, so even the
+// border arithmetic is identical. Pointwise (1×1, stride 1, unpadded)
+// convolutions need no expansion at all; callers pass the image to Gemm
+// as the B matrix directly.
+
+// ConvGemm computes one image's convolution out[cout, OutH·OutW] = w[cout,
+// k] ⊛ x[cin, InH, InW] (w row-major [cout, cin·KH·KW], every element of
+// out written) with the same bits as Im2col into a k × OutH·OutW panel
+// followed by Gemm(false, false, cout, OutH·OutW, k, 1, w, k, panel, …, 0,
+// out, OutH·OutW), without materializing the panel on the blocked path.
+// Scratch comes from wsp.
+func ConvGemm(w []float32, cout int, x []float32, cin int, g ConvGeom, out []float32, wsp *Workspace) {
+	cols := g.OutH() * g.OutW()
+	k := cin * g.KH * g.KW
+	if len(out) < cout*cols || len(w) < cout*k || len(x) < cin*g.InH*g.InW {
+		panic("tensor: ConvGemm operand too short")
+	}
+	small := GemmUsesSmallPath(cout, cols, k)
+	if small && (g.StrideH != 1 || g.StrideW != 1) {
+		col := wsp.GetF32(k * cols)
+		Im2col(x, cin, g, col)
+		Gemm(false, false, cout, cols, k, 1, w, k, col, cols, 0, out, cols)
+		wsp.PutF32(col)
+		return
+	}
+	ph, pw := g.bordered()
+	pad := wsp.GetF32(cin * ph * pw)
+	borderImage(x, cin, g, ph, pw, pad)
+	if small {
+		directConv(pad, cin, g, ph, pw, w, out, cout)
+	} else {
+		img := convImage{pad: pad, g: g, ph: ph, pw: pw}
+		gemmBlocked(ActiveISA() == ISAAVX2, false, cout, cols, k, 1, w, k,
+			bSource{img: &img}, 0, out, cols)
+	}
+	wsp.PutF32(pad)
+}
+
+// bordered returns the size of the zero-bordered image the im2col taps
+// index: tap (ky, kx) at output pixel (oy, ox) reads bordered row
+// oy·StrideH + ky·DilH and column ox·StrideW + kx·DilW, where bordered row
+// r holds input row r − PadH. The bottom and right borders cover only what
+// the taps reach, so with dilation they may exceed PadH/PadW, and rows or
+// columns no tap reaches are dropped.
+func (g ConvGeom) bordered() (ph, pw int) {
+	return (g.OutH()-1)*g.StrideH + (g.KH-1)*g.DilH + 1,
+		(g.OutW()-1)*g.StrideW + (g.KW-1)*g.DilW + 1
+}
+
+// borderImage copies the cin-channel image x into pad (cin × ph × pw) at
+// offset (PadH, PadW), writing +0 everywhere else.
+func borderImage(x []float32, cin int, g ConvGeom, ph, pw int, pad []float32) {
+	lo := min(g.PadW, pw)       // first interior column
+	hi := min(g.PadW+g.InW, pw) // end of the interior columns
+	for c := 0; c < cin; c++ {
+		plane := pad[c*ph*pw : (c+1)*ph*pw]
+		for r := 0; r < ph; r++ {
+			row := plane[r*pw : (r+1)*pw]
+			iy := r - g.PadH
+			if iy < 0 || iy >= g.InH {
+				clear(row)
+				continue
+			}
+			clear(row[:lo])
+			copy(row[lo:hi], x[(c*g.InH+iy)*g.InW:])
+			clear(row[hi:])
+		}
+	}
+}
+
+// convImage is the implicit im2col matrix of one zero-bordered image: row
+// p of the K dimension is tap (c, ky, kx) = (p / (KH·KW), p / KW % KH,
+// p % KW), column j is output pixel (oy, ox) = (j / OutW, j % OutW), and
+// element (p, j) is pad[(c·ph + oy·StrideH + ky·DilH)·pw + ox·StrideW +
+// kx·DilW].
+type convImage struct {
+	pad    []float32
+	g      ConvGeom
+	ph, pw int
+}
+
+// pack writes rows [pc, pc+kcEff) × columns [jc, jc+ncEff) of the implicit
+// matrix as nr-wide strips, dst[strip·kcEff·nr + p·nr + j], zero-padding
+// the dead lanes of the last strip: byte for byte what packB (nr = 8) or
+// packB16 (nr = 16) writes from the materialized im2col matrix. A strip
+// inside one output row of a stride-1 convolution is one nr-float copy per
+// tap; any other strip gathers through a per-strip pixel-offset table. Tap
+// and pixel counters advance by increment; the only divisions locate the
+// block's first tap and first pixel.
+func (im *convImage) pack(nr, jc, ncEff, pc, kcEff int, dst []float32) {
+	g, ph, pw := im.g, im.ph, im.pw
+
+	// Offsets of taps [pc, pc+kcEff) into the bordered image.
+	var tap [max(gemmKC, avxKC)]int
+	c, ky, kx := pc/(g.KH*g.KW), pc/g.KW%g.KH, pc%g.KW
+	off := (c*ph+ky*g.DilH)*pw + kx*g.DilW
+	for p := range tap[:kcEff] {
+		tap[p] = off
+		off += g.DilW
+		if kx++; kx == g.KW {
+			kx, off = 0, off-g.KW*g.DilW+g.DilH*pw
+			if ky++; ky == g.KH {
+				ky, off = 0, off+(ph-g.KH*g.DilH)*pw
+			}
+		}
+	}
+	taps := tap[:kcEff]
+
+	outW := g.OutW()
+	oy, ox := jc/outW, jc%outW
+	var pix [avxNR]int
+	for s := 0; s*nr < ncEff; s++ {
+		d := dst[s*kcEff*nr : (s+1)*kcEff*nr]
+		cols := min(nr, ncEff-s*nr)
+		if cols == nr && g.StrideW == 1 && ox+nr <= outW {
+			src := im.pad[oy*g.StrideH*pw+ox:]
+			if nr == avxNR {
+				for p, t := range taps {
+					*(*[avxNR]float32)(d[p*avxNR:]) = *(*[avxNR]float32)(src[t:])
+				}
+			} else {
+				for p, t := range taps {
+					*(*[gemmNR]float32)(d[p*gemmNR:]) = *(*[gemmNR]float32)(src[t:])
+				}
+			}
+			if ox += nr; ox == outW {
+				oy, ox = oy+1, 0
+			}
+			continue
+		}
+		for j := range pix[:cols] {
+			pix[j] = oy*g.StrideH*pw + ox*g.StrideW
+			if ox++; ox == outW {
+				oy, ox = oy+1, 0
+			}
+		}
+		for p, t := range taps {
+			row := d[p*nr : (p+1)*nr]
+			src := im.pad[t:]
+			for j, o := range pix[:cols] {
+				row[j] = src[o]
+			}
+			clear(row[cols:])
+		}
+	}
+}
+
+// directConv is the small-path convolution of one bordered image pad (cin
+// × ph × pw, see borderImage) with stride 1: out[m, oh·ow] = w[m, k] ·
+// im2col, reading every tap row from pad in place.
+func directConv(pad []float32, cin int, g ConvGeom, ph, pw int, w, out []float32, m int) {
+	kh, kw := g.KH, g.KW
+	oh, ow := g.OutH(), g.OutW()
+	k := cin * kh * kw
+	ohow := oh * ow
+
+	clear(out[:m*ohow])
+
+	var off [4]int
+	p0 := 0
+	for ; p0+3 < k; p0 += 4 {
+		// Tap offsets into the bordered image: tap p at output pixel (oy, ox)
+		// reads pad[(cc·ph + oy + ky·dil)·pw + ox + kx·dil] — always in
+		// range, with border positions holding +0.
+		for t := 0; t < 4; t++ {
+			p := p0 + t
+			cc := p / (kh * kw)
+			ky := (p / kw) % kh
+			kx := p % kw
+			off[t] = (cc*ph+ky*g.DilH)*pw + kx*g.DilW
+		}
+		for oy := 0; oy < oh; oy++ {
+			rowBase := oy * pw
+			m0 := pad[off[0]+rowBase : off[0]+rowBase+ow]
+			m1 := pad[off[1]+rowBase : off[1]+rowBase+ow]
+			m2 := pad[off[2]+rowBase : off[2]+rowBase+ow]
+			m3 := pad[off[3]+rowBase : off[3]+rowBase+ow]
+			// Register-block four output channels per pass: each tap row is
+			// loaded once for four accumulator rows (the per-element update
+			// expression — and so its result — is unchanged; only the order
+			// across independent elements differs). A channel whose four
+			// group weights are all zero takes the single-channel loop,
+			// which skips it exactly as the GEMM's axpy kernel does (the
+			// quad would add 0·v terms — a NaN, not a no-op, for
+			// non-finite activations).
+			i := 0
+			for ; i+3 < m; i += 4 {
+				w0 := w[i*k+p0 : i*k+p0+4]
+				w1 := w[(i+1)*k+p0 : (i+1)*k+p0+4]
+				w2 := w[(i+2)*k+p0 : (i+2)*k+p0+4]
+				w3 := w[(i+3)*k+p0 : (i+3)*k+p0+4]
+				if allZero4(w0) || allZero4(w1) || allZero4(w2) || allZero4(w3) {
+					directGroupRow(out[i*ohow+oy*ow:], ohow, min(4, m-i), w, i, k, p0, m0, m1, m2, m3)
+					continue
+				}
+				d0 := out[i*ohow+oy*ow : i*ohow+oy*ow+ow]
+				d1 := out[(i+1)*ohow+oy*ow : (i+1)*ohow+oy*ow+ow]
+				d2 := out[(i+2)*ohow+oy*ow : (i+2)*ohow+oy*ow+ow]
+				d3 := out[(i+3)*ohow+oy*ow : (i+3)*ohow+oy*ow+ow]
+				for idx := range d0 {
+					v0, v1, v2, v3 := m0[idx], m1[idx], m2[idx], m3[idx]
+					d0[idx] += w0[0]*v0 + w0[1]*v1 + w0[2]*v2 + w0[3]*v3
+					d1[idx] += w1[0]*v0 + w1[1]*v1 + w1[2]*v2 + w1[3]*v3
+					d2[idx] += w2[0]*v0 + w2[1]*v1 + w2[2]*v2 + w2[3]*v3
+					d3[idx] += w3[0]*v0 + w3[1]*v1 + w3[2]*v2 + w3[3]*v3
+				}
+			}
+			if i < m {
+				directGroupRow(out[i*ohow+oy*ow:], ohow, m-i, w, i, k, p0, m0, m1, m2, m3)
+			}
+		}
+	}
+	// Tail taps (k % 4): single-tap axpy rows, matching gemmSmallRows' tail.
+	for p := p0; p < k; p++ {
+		cc := p / (kh * kw)
+		ky := (p / kw) % kh
+		kx := p % kw
+		off0 := (cc*ph+ky*g.DilH)*pw + kx*g.DilW
+		for i := 0; i < m; i++ {
+			ap := w[i*k+p]
+			if ap == 0 {
+				continue
+			}
+			for oy := 0; oy < oh; oy++ {
+				src := pad[off0+oy*pw : off0+oy*pw+ow]
+				dst := out[i*ohow+oy*ow : i*ohow+oy*ow+ow]
+				for idx := range dst {
+					dst[idx] += ap * src[idx]
+				}
+			}
+		}
+	}
+}
+
+// allZero4 reports whether a four-weight group is entirely zero — the
+// condition under which gemmSmallRows skips the group.
+func allZero4(w []float32) bool {
+	return w[0] == 0 && w[1] == 0 && w[2] == 0 && w[3] == 0
+}
+
+// directGroupRow applies one four-tap group to rows output channels one at
+// a time — the axpy kernel's per-channel form, with its all-zero group
+// skip. dst's channel rows are ohow apart; m0..m3 are the group's tap rows
+// for the current output row.
+func directGroupRow(dst []float32, ohow, rows int, w []float32, i0, k, p0 int, m0, m1, m2, m3 []float32) {
+	for t := 0; t < rows; t++ {
+		a0 := w[(i0+t)*k+p0]
+		a1 := w[(i0+t)*k+p0+1]
+		a2 := w[(i0+t)*k+p0+2]
+		a3 := w[(i0+t)*k+p0+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		row := dst[t*ohow : t*ohow+len(m0)]
+		for idx := range row {
+			row[idx] += a0*m0[idx] + a1*m1[idx] + a2*m2[idx] + a3*m3[idx]
+		}
+	}
+}

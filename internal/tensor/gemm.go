@@ -45,14 +45,15 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
 	// (few micro-kernel steps per packed element) makes packing a net loss,
 	// as does a small problem overall.
 	// The small path is always the scalar reference kernels, under every
-	// ISA: nn's direct convolution mirrors gemmSmallRows term-for-term and
-	// relies on bit-identical results for small shapes. Only the blocked
-	// path below dispatches to the AVX2 micro-kernels.
+	// ISA: ConvGemm's direct convolution mirrors gemmSmallRows
+	// term-for-term and relies on bit-identical results for small shapes.
+	// Only the blocked path below dispatches to the AVX2 micro-kernels.
 	if GemmUsesSmallPath(m, n, k) {
 		gemmSmall(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
-	gemmBlocked(ActiveISA() == ISAAVX2, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	gemmBlocked(ActiveISA() == ISAAVX2, transA, m, n, k, alpha, a, lda,
+		bSource{transB: transB, b: b, ldb: ldb}, beta, c, ldc)
 }
 
 func checkGemmArgs(transA, transB bool, m, n, k int, a []float32, lda int,
@@ -291,11 +292,35 @@ func putPanel(p *panel) {
 	}
 }
 
+// bSource is the B operand of the blocked driver: a stored matrix op(b),
+// or — img set — the implicit im2col matrix of a zero-bordered image (see
+// ConvGemm), which is never materialized.
+type bSource struct {
+	transB bool
+	b      []float32
+	ldb    int
+	img    *convImage
+}
+
+// pack writes rows [pc, pc+kcEff) × columns [jc, jc+ncEff) of the operand
+// into nr-wide strips, the panel layout of the nr-wide micro-kernel.
+func (s bSource) pack(nr, jc, ncEff, pc, kcEff int, dst []float32) {
+	switch {
+	case s.img != nil:
+		s.img.pack(nr, jc, ncEff, pc, kcEff, dst)
+	case nr == avxNR:
+		packB16(s.transB, s.b, s.ldb, jc, ncEff, pc, kcEff, dst)
+	default:
+		packB(s.transB, s.b, s.ldb, jc, ncEff, pc, kcEff, dst)
+	}
+}
+
 // gemmBlocked is the blocked driver of both kernel sets: the scalar 4×8
 // micro-kernel below, and — avx2 set — the 6×16 assembly micro-kernel of
 // gemm_avx2.go. The loop nest, the per-K-block fan-out over M blocks and
 // the epilogue modes are shared; only the geometry, the packing routines
-// and the register tile differ.
+// and the register tile differ. B comes packed from its source, so a
+// stored matrix and an implicit im2col matrix run the same loops.
 //
 // Epilogue modes, computed once per K block so no kernel branches on a
 // float comparison in its inner position:
@@ -303,8 +328,8 @@ func putPanel(p *panel) {
 //	mode 0 — not the first K block: C += alpha*acc
 //	mode 1 — first block, beta == 0: C  = alpha*acc (C never read)
 //	mode 2 — first block, beta != 0: C  = beta*C + alpha*acc
-func gemmBlocked(avx2, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
-	b []float32, ldb int, beta float32, c []float32, ldc int) {
+func gemmBlocked(avx2, transA bool, m, n, k int, alpha float32, a []float32, lda int,
+	b bSource, beta float32, c []float32, ldc int) {
 	mr, nr, kc, mc, nc := gemmMR, gemmNR, gemmKC, gemmMC, gemmNC
 	if avx2 {
 		mr, nr, kc, mc, nc = avxMR, avxNR, avxKC, avxMC, avxNC
@@ -332,11 +357,7 @@ func gemmBlocked(avx2, transA, transB bool, m, n, k int, alpha float32, a []floa
 		for pc := 0; pc < k; pc += kc {
 			st.pc = pc
 			st.kcEff = min(kc, k-pc)
-			if avx2 {
-				packB16(transB, b, ldb, jc, st.ncEff, pc, st.kcEff, bPanel)
-			} else {
-				packB(transB, b, ldb, jc, st.ncEff, pc, st.kcEff, bPanel)
-			}
+			b.pack(nr, jc, st.ncEff, pc, st.kcEff, bPanel)
 			switch {
 			case pc != 0:
 				st.mode = 0

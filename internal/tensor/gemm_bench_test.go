@@ -51,6 +51,42 @@ func BenchmarkGemmConvLike(b *testing.B) {
 	})
 }
 
+// BenchmarkConvTile times one serving-tile convolution — a 16×16 tile,
+// 3×3 kernel, pad 1, 16 → 8 channels, the m8 n256 k144 product of the
+// benchmark's tensor.gemm_tile probe — materialized (Im2col, then Gemm)
+// and with ConvGemm packing its B panel straight from the tile.
+func BenchmarkConvTile(b *testing.B) {
+	const cin, cout = 16, 8
+	g := ConvGeom{InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1,
+		PadH: 1, PadW: 1, DilH: 1, DilW: 1}
+	cols, k := g.OutH()*g.OutW(), cin*g.KH*g.KW
+	x := make([]float32, cin*g.InH*g.InW)
+	w := make([]float32, cout*k)
+	for i := range x {
+		x[i] = float32(i%5) - 2
+	}
+	for i := range w {
+		w[i] = float32(i%7) - 3
+	}
+	out := make([]float32, cout*cols)
+	flops := float64(2 * cout * cols * k)
+	b.Run("im2col+gemm", func(b *testing.B) {
+		col := make([]float32, k*cols)
+		for b.Loop() {
+			Im2col(x, cin, g, col)
+			Gemm(false, false, cout, cols, k, 1, w, k, col, cols, 0, out, cols)
+		}
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
+	b.Run("packed", func(b *testing.B) {
+		wsp := NewWorkspace(NewPool())
+		for b.Loop() {
+			ConvGemm(w, cout, x, cin, g, out, wsp)
+		}
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
+}
+
 func BenchmarkGemmBig(b *testing.B)  { benchGemm(b, 256, 512, 512) }
 func BenchmarkGemmTiny(b *testing.B) { benchGemm(b, 8, 256, 72) }
 
@@ -86,7 +122,7 @@ func BenchmarkGemmCrossover(b *testing.B) {
 		})
 		b.Run(name+"/blocked", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmBlocked(true, false, false, tc.m, tc.n, tc.k, 1, a, tc.k, bb, tc.n, 0, c, tc.n)
+				gemmBlocked(true, false, tc.m, tc.n, tc.k, 1, a, tc.k, bSource{b: bb, ldb: tc.n}, 0, c, tc.n)
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

@@ -97,7 +97,7 @@ func TestGemmAVX2KernelParity(t *testing.T) {
 						b := randomSlice(rng, k*n)
 						c := randomSlice(rng, m*n)
 						ref, bound := refGemmBound(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, n)
-						gemmBlocked(true, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, n)
+						gemmBlocked(true, transA, m, n, k, alpha, a, lda, bSource{transB: transB, b: b, ldb: ldb}, beta, c, n)
 						for i := range ref {
 							if diff := math.Abs(float64(c[i]) - ref[i]); diff > bound[i] {
 								t.Fatalf("tA=%v tB=%v m=%d n=%d k=%d α=%g β=%g: C[%d]=%g ref=%g diff=%g > bound %g",

@@ -127,10 +127,11 @@ var (
 
 // GemmUsesSmallPath reports whether Gemm(m, n, k) dispatches to the small
 // unblocked kernels instead of the packed blocked path under the ACTIVE
-// ISA. Inference kernels that inline a GEMM (the direct convolution) use
-// it to mirror Gemm's dispatch exactly, so their results stay
-// bit-identical to the im2col+Gemm formulation for every shape; the
-// predicate must therefore always agree with Gemm's own dispatch.
+// ISA. ConvGemm uses it to mirror Gemm's dispatch exactly — its direct
+// convolution inlines the small path, its implicit packing feeds the
+// blocked one — so its results stay bit-identical to the im2col+Gemm
+// formulation for every shape; the predicate must therefore always agree
+// with Gemm's own dispatch.
 func GemmUsesSmallPath(m, n, k int) bool {
 	if ActiveISA() == ISAAVX2 {
 		return m*n*k <= gemmSmallMNKAVX2 || m < 2

@@ -53,9 +53,9 @@ func TestSetKernelISA(t *testing.T) {
 }
 
 // TestGemmUsesSmallPathISAAware: the dispatch predicate must follow the
-// active ISA — nn's direct convolution keys its fallback off it, and a
-// mismatch with Gemm's real dispatch would silently break the
-// conv-vs-im2col bit-parity contract.
+// active ISA — ConvGemm picks its route off it, and a mismatch with
+// Gemm's real dispatch would silently break the conv-vs-im2col bit-parity
+// contract.
 func TestGemmUsesSmallPathISAAware(t *testing.T) {
 	orig := ActiveISA()
 	defer SetKernelISA(orig)
