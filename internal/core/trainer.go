@@ -627,8 +627,8 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 	// Per-rank persistent workspace: one pool, one reusing executor, and
 	// one set of feed tensors live across every step of the run (and the
 	// validation passes), instead of being reallocated per step. When the
-	// rank retires, per-op kernel caches (im2col panels, index maps) are
-	// dropped so the returned model does not pin them.
+	// rank retires, per-op kernel caches (index maps, saved statistics,
+	// masks) are dropped so the returned model does not pin them.
 	rw := newRankWorkspace(net, cfg.Workspace)
 	rw.initExchange(len(params))
 	defer graph.ReleaseOpCaches(net.Graph)

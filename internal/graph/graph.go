@@ -116,8 +116,8 @@ type ScratchOp interface {
 }
 
 // CachedOp is implemented by ops that keep per-instance kernel caches
-// between forward and backward (im2col panels, pooling index maps, saved
-// batch statistics, dropout masks). ReleaseCaches drops them; the op stays
+// between forward and backward (pooling index maps, saved batch
+// statistics, dropout masks). ReleaseCaches drops them; the op stays
 // fully usable and simply recomputes or re-sizes on its next execution.
 type CachedOp interface {
 	ReleaseCaches()
@@ -125,8 +125,8 @@ type CachedOp interface {
 
 // ReleaseOpCaches drops every per-instance kernel cache in the graph. Call
 // it when a network is retired from the hot loop (e.g. before handing a
-// trained replica back to the caller), so cached panels do not stay pinned
-// as long as the model object lives.
+// trained replica back to the caller), so cached buffers do not stay
+// pinned as long as the model object lives.
 func ReleaseOpCaches(g *Graph) {
 	for _, n := range g.nodes {
 		if c, ok := n.Op.(CachedOp); ok {

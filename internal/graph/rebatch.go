@@ -4,9 +4,9 @@ import "fmt"
 
 // InferenceCloner is implemented by ops whose training instance cannot be
 // shared with an inference graph: either the op keeps per-instance kernel
-// state (im2col panels, pooling index maps, dropout masks) that ties an
-// instance to a single executor, or its inference semantics differ from its
-// training semantics (batch normalization, dropout). CloneForInference
+// state (pooling index maps, dropout masks) that ties an instance to a
+// single executor, or its inference semantics differ from its training
+// semantics (batch normalization, dropout, quantized convolutions). CloneForInference
 // returns a fresh instance with inference semantics and no shared mutable
 // state, so the clone can execute concurrently with the original.
 //

@@ -3,15 +3,16 @@ package nn
 import "repro/internal/graph"
 
 // CloneForInference implementations (graph.InferenceCloner) for the ops
-// whose training instances cannot be shared with an inference graph. Two
-// things force a clone: per-instance kernel state (Conv2D's im2col panel,
-// MaxPool2D's index map, Dropout's mask — each ties an instance to a single
-// executor) and train/inference semantic differences (BatchNorm statistics,
-// Dropout). Every other op in this package is stateless and is shared by
-// reference when a graph is cloned for serving.
+// whose training instances cannot be shared with an inference graph. Three
+// things force a clone: per-instance kernel state (MaxPool2D's index map,
+// Dropout's mask — each ties an instance to a single executor),
+// train/inference semantic differences (BatchNorm statistics, Dropout),
+// and state only a serving instance may carry (the convolutions' INT8
+// weights, see MarkInt8). Every other op in this package is stateless and
+// is shared by reference when a graph is cloned for serving.
 
-// CloneForInference implements graph.InferenceCloner: same geometry, no
-// panel cache, convolutions through tensor.ConvGemm.
+// CloneForInference implements graph.InferenceCloner: same geometry, marked
+// for inference so MarkInt8 may quantize it.
 func (c *Conv2D) CloneForInference() graph.Op {
 	return &Conv2D{Stride: c.Stride, Pad: c.Pad, Dilation: c.Dilation, Inference: true}
 }

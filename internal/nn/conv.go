@@ -5,11 +5,13 @@
 // graph.Op, so networks are dataflow graphs analyzable for FLOPs and
 // differentiable by the graph executor.
 //
-// State caveat: Dropout and BatchNorm carry per-instance training state
-// (mask, running statistics), so a graph instance must not be executed by
-// two executors concurrently. Data-parallel training replicates the graph
-// per rank — exactly as the paper's Horovod replicates the TensorFlow
-// graph — so this constraint is natural.
+// State caveat: Dropout, BatchNorm and MaxPool2D carry per-instance
+// training state (mask, saved and running statistics, argmax index map),
+// so a graph holding them must not be executed by two executors
+// concurrently. The convolutions carry none: their backward passes read
+// the forward input, not a saved panel. Data-parallel training replicates
+// the graph per rank — exactly as the paper's Horovod replicates the
+// TensorFlow graph — so this constraint is natural.
 package nn
 
 import (
@@ -23,23 +25,18 @@ import (
 // implements the paper's atrous convolutions; stride implements
 // downscaling. Inputs: x [N,Cin,H,W], w [Cout,Cin,KH,KW].
 //
-// The scratch-aware path keeps the forward im2col panel on the op instance
-// so the backward weight-gradient GEMM reuses it instead of re-expanding
-// the input — the same compute/memory trade cuDNN's workspace-grown
-// algorithms make. Like Dropout's mask, this per-instance state means a
-// graph instance must not be executed by two executors concurrently.
+// The forward and the backward weight gradient run tensor.ConvGemm and
+// tensor.ConvGemmWeightGrad, which pack their GEMM operands straight from
+// the input image, so the op keeps no state between forward and backward:
+// one instance may be executed by several executors at once.
 type Conv2D struct {
 	Stride, Pad, Dilation int
 
-	// Inference marks an instance cloned for serving: non-pointwise
-	// geometries run tensor.ConvGemm — bit-identical to the training
-	// im2col+GEMM forward, without writing the im2col panel on the blocked
-	// GEMM path — and no forward panel is cached, since no backward pass
-	// will want it.
+	// Inference marks an instance cloned for serving, the only kind
+	// MarkInt8 quantizes.
 	Inference bool
 
-	fwdCols []float32    // im2col panels from the last scratch forward (all batch elements)
-	qw      *int8Weights // set by MarkInt8: quantized-weight INT8 kernel (inference only)
+	qw *int8Weights // set by MarkInt8: quantized-weight INT8 kernel (inference only)
 }
 
 // is1x1 reports whether the convolution is a pure pointwise (1×1, stride 1,
@@ -92,14 +89,14 @@ func (c *Conv2D) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.NCHW(x[0], w[0], oh, ow), nil
 }
 
-// Forward implements graph.Op via im2col + GEMM (the "implicit GEMM"
-// formulation the paper's FLOP audit found cuDNN using).
+// Forward implements graph.Op as an implicit GEMM over the input image
+// (the formulation the paper's FLOP audit found cuDNN using).
 func (c *Conv2D) Forward(in []*tensor.Tensor) *tensor.Tensor {
 	return c.ForwardScratch(in, heapWS)
 }
 
-// ForwardScratch implements graph.ScratchOp: the im2col panel and the
-// output tensor come from the workspace instead of the heap.
+// ForwardScratch implements graph.ScratchOp: the output tensor and the
+// convolution's scratch come from the workspace instead of the heap.
 func (c *Conv2D) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspace) *tensor.Tensor {
 	x, w := in[0], in[1]
 	xs, ws := x.Shape(), w.Shape()
@@ -111,7 +108,7 @@ func (c *Conv2D) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspace) *ten
 	k := cin * g.KH * g.KW
 
 	// Every output element is written by the beta=0 GEMM, so the tensor may
-	// start uninitialized; Im2col likewise writes its whole panel.
+	// start uninitialized.
 	out := wsp.NewTensorUninit(tensor.NCHW(n, cout, oh, ow))
 	imSize := cin * g.InH * g.InW
 	if c.Inference && c.qw != nil {
@@ -130,36 +127,15 @@ func (c *Conv2D) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspace) *ten
 		}
 		return out
 	}
-	if is1x1(g) {
-		// Pointwise fast path: the input already is the [Cin, H·W] matrix.
-		for b := 0; b < n; b++ {
-			tensor.Gemm(false, false, cout, cols, k, 1, w.Data(), k,
-				x.Data()[b*imSize:(b+1)*imSize], cols, 0, out.Data()[b*cout*cols:], cols)
-		}
-		c.fwdCols = nil
-		return out
-	}
-	if c.Inference {
-		// No backward pass will read the panel back: the blocked GEMM packs
-		// straight from the image (see tensor.ConvGemm).
-		for b := 0; b < n; b++ {
-			tensor.ConvGemm(w.Data(), cout, x.Data()[b*imSize:(b+1)*imSize], cin, g,
-				out.Data()[b*cout*cols:(b+1)*cout*cols], wsp)
-		}
-		return out
-	}
-	// Expand into the instance-cached panel so the backward weight gradient
-	// reuses it instead of recomputing Im2col.
-	if cap(c.fwdCols) < n*k*cols {
-		c.fwdCols = make([]float32, n*k*cols)
-	}
-	c.fwdCols = c.fwdCols[:n*k*cols]
 	for b := 0; b < n; b++ {
-		col := c.fwdCols[b*k*cols : (b+1)*k*cols]
-		tensor.Im2col(x.Data()[b*imSize:(b+1)*imSize], cin, g, col)
-		// [Cout, k] × [k, cols] → [Cout, cols]
-		tensor.Gemm(false, false, cout, cols, k, 1, w.Data(), k, col, cols,
-			0, out.Data()[b*cout*cols:], cols)
+		xb := x.Data()[b*imSize : (b+1)*imSize]
+		ob := out.Data()[b*cout*cols : (b+1)*cout*cols]
+		if is1x1(g) {
+			// Pointwise: the input already is the [Cin, H·W] matrix.
+			tensor.Gemm(false, false, cout, cols, k, 1, w.Data(), k, xb, cols, 0, ob, cols)
+		} else {
+			tensor.ConvGemm(w.Data(), cout, xb, cin, g, ob, wsp)
+		}
 	}
 	return out
 }
@@ -199,18 +175,10 @@ func (c *Conv2D) BackwardScratch(in []*tensor.Tensor, out, gradOut *tensor.Tenso
 	gradX := wsp.NewTensor(xs) // zeroed: Col2im accumulates
 	gradW := wsp.NewTensor(ws) // zeroed: beta=1 accumulation across batch
 	col := wsp.GetF32(k * cols)
-	cached := len(c.fwdCols) == n*k*cols
 	for b := 0; b < n; b++ {
 		gOut := gradOut.Data()[b*cout*cols : (b+1)*cout*cols]
-		// Weight gradient: gradW += gOut [Cout,cols] × im2col(x)ᵀ [cols,k],
-		// reusing the forward panel when the last scratch forward saved it.
-		fcol := col
-		if cached {
-			fcol = c.fwdCols[b*k*cols : (b+1)*k*cols]
-		} else {
-			tensor.Im2col(x.Data()[b*imSize:(b+1)*imSize], cin, g, col)
-		}
-		tensor.Gemm(false, true, cout, k, cols, 1, gOut, cols, fcol, cols, 1, gradW.Data(), k)
+		// Weight gradient: gradW += gOut [Cout,cols] × im2col(x)ᵀ [cols,k].
+		tensor.ConvGemmWeightGrad(gOut, cout, x.Data()[b*imSize:(b+1)*imSize], cin, g, gradW.Data(), wsp)
 		// Data gradient: cols ← wᵀ [k,Cout] × gOut [Cout,cols]; scatter.
 		tensor.Gemm(true, false, k, cols, cout, 1, w.Data(), k, gOut, cols, 0, col, cols)
 		tensor.Col2im(col, cin, g, gradX.Data()[b*imSize:(b+1)*imSize])
@@ -349,24 +317,19 @@ func (d *Deconv2D) BackwardScratch(in []*tensor.Tensor, out, gradOut *tensor.Ten
 	n, cin, h, wd := xs[0], xs[1], xs[2], xs[3]
 	cout := ws[1]
 	g := d.virtualGeom(xs, ws)
-	k := cout * g.KH * g.KW
 	cols := h * wd
 	outSize := cout * g.InH * g.InW
 
-	gradX := wsp.NewTensorUninit(xs) // fully written by the beta=0 GEMM
+	gradX := wsp.NewTensorUninit(xs) // fully written by ConvGemm
 	gradW := wsp.NewTensor(ws)       // zeroed: beta=1 accumulation across batch
-	col := wsp.GetF32(k * cols)
 	for b := 0; b < n; b++ {
 		gOut := gradOut.Data()[b*outSize : (b+1)*outSize]
-		tensor.Im2col(gOut, cout, g, col)
-		// gradX_mat [Cin, H·W] = w_mat [Cin, k] × col [k, H·W]
-		tensor.Gemm(false, false, cin, cols, k, 1, w.Data(), k, col, cols,
-			0, gradX.Data()[b*cin*cols:], cols)
-		// gradW_mat [Cin, k] += x_mat [Cin, H·W] × colᵀ [H·W, k]
-		tensor.Gemm(false, true, cin, k, cols, 1, x.Data()[b*cin*cols:], cols,
-			col, cols, 1, gradW.Data(), k)
+		xb := x.Data()[b*cin*cols : (b+1)*cin*cols]
+		// gradX_mat [Cin, H·W] = w_mat [Cin, k] × im2col(gOut) [k, H·W]
+		tensor.ConvGemm(w.Data(), cin, gOut, cout, g, gradX.Data()[b*cin*cols:(b+1)*cin*cols], wsp)
+		// gradW_mat [Cin, k] += x_mat [Cin, H·W] × im2col(gOut)ᵀ [H·W, k]
+		tensor.ConvGemmWeightGrad(xb, cin, gOut, cout, g, gradW.Data(), wsp)
 	}
-	wsp.PutF32(col)
 	return []*tensor.Tensor{gradX, gradW}
 }
 

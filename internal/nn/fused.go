@@ -20,7 +20,9 @@ type FusedConvBias struct {
 	// ReLU applies max(·, 0) after the bias in the same pass.
 	ReLU bool
 
-	convOp *Conv2D // shared inner conv, so its im2col panel cache persists
+	// convOp is the inner convolution: its geometry, and for an inference
+	// clone the Inference flag and the INT8 weights MarkInt8 installs.
+	convOp *Conv2D
 }
 
 // NewFusedConvBias returns a fused conv+bias op, with fused ReLU if relu.
@@ -28,7 +30,8 @@ func NewFusedConvBias(stride, pad, dilation int, relu bool) *FusedConvBias {
 	if stride < 1 || dilation < 1 || pad < 0 {
 		panic("nn: invalid FusedConvBias geometry")
 	}
-	return &FusedConvBias{Stride: stride, Pad: pad, Dilation: dilation, ReLU: relu}
+	return &FusedConvBias{Stride: stride, Pad: pad, Dilation: dilation, ReLU: relu,
+		convOp: &Conv2D{Stride: stride, Pad: pad, Dilation: dilation}}
 }
 
 // Name implements graph.Op.
@@ -37,13 +40,6 @@ func (c *FusedConvBias) Name() string {
 		return "conv2d_bias_relu"
 	}
 	return "conv2d_bias"
-}
-
-func (c *FusedConvBias) conv() *Conv2D {
-	if c.convOp == nil {
-		c.convOp = &Conv2D{Stride: c.Stride, Pad: c.Pad, Dilation: c.Dilation}
-	}
-	return c.convOp
 }
 
 // OutShape implements graph.Op.
@@ -55,7 +51,7 @@ func (c *FusedConvBias) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	if b.Rank() != 1 || (w.Rank() == 4 && b[0] != w[0]) {
 		return nil, fmt.Errorf("%s bias shape %v incompatible with weights %v", c.Name(), b, w)
 	}
-	return c.conv().OutShape(in[:2])
+	return c.convOp.OutShape(in[:2])
 }
 
 // Forward implements graph.Op.
@@ -63,25 +59,24 @@ func (c *FusedConvBias) Forward(in []*tensor.Tensor) *tensor.Tensor {
 	return c.ForwardScratch(in, heapWS)
 }
 
-// ForwardScratch implements graph.ScratchOp: im2col + GEMM per batch
+// ForwardScratch implements graph.ScratchOp: one convolution per batch
 // element, with the bias (and ReLU) epilogue applied to the fresh tile.
 func (c *FusedConvBias) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspace) *tensor.Tensor {
 	x, w, bias := in[0], in[1], in[2]
 	xs, ws := x.Shape(), w.Shape()
 	n, cin := xs[0], xs[1]
 	cout := ws[0]
-	g := c.conv().geom(xs, ws)
+	cv := c.convOp
+	g := cv.geom(xs, ws)
 	oh, ow := g.OutH(), g.OutW()
 	cols := oh * ow
 	k := cin * g.KH * g.KW
 
-	cv := c.conv()
 	out := wsp.NewTensorUninit(tensor.NCHW(n, cout, oh, ow))
 	imSize := cin * g.InH * g.InW
 	bd := bias.Data()
 	pointwise := is1x1(g)
 	int8q := cv.Inference && cv.qw != nil
-	implicit := !int8q && cv.Inference && !pointwise
 	var infCol []float32
 	var bq []int8
 	if int8q {
@@ -94,32 +89,18 @@ func (c *FusedConvBias) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspac
 		}
 		bq = wsp.GetI8(k * cols)
 		defer wsp.PutI8(bq)
-	} else if !pointwise && !cv.Inference {
-		if cap(cv.fwdCols) < n*k*cols {
-			cv.fwdCols = make([]float32, n*k*cols)
-		}
-		cv.fwdCols = cv.fwdCols[:n*k*cols]
-	} else {
-		cv.fwdCols = nil
 	}
 	for b := 0; b < n; b++ {
 		tile := out.Data()[b*cout*cols : (b+1)*cout*cols]
-		if int8q {
-			cv.int8Tile(x.Data()[b*imSize:(b+1)*imSize], cin, g, tile, cout, infCol, bq)
-		} else if implicit {
-			// No backward pass will read the panel back (see
-			// tensor.ConvGemm).
-			tensor.ConvGemm(w.Data(), cout, x.Data()[b*imSize:(b+1)*imSize], cin, g, tile, wsp)
-		} else {
-			// The im2col panel lands in the inner conv's cache, so the
-			// backward weight gradient reuses it; 1×1 convolutions skip it
-			// entirely.
-			col := x.Data()[b*imSize : (b+1)*imSize]
-			if !pointwise {
-				col = cv.fwdCols[b*k*cols : (b+1)*k*cols]
-				tensor.Im2col(x.Data()[b*imSize:(b+1)*imSize], cin, g, col)
-			}
-			tensor.Gemm(false, false, cout, cols, k, 1, w.Data(), k, col, cols, 0, tile, cols)
+		xb := x.Data()[b*imSize : (b+1)*imSize]
+		switch {
+		case int8q:
+			cv.int8Tile(xb, cin, g, tile, cout, infCol, bq)
+		case pointwise:
+			// The input already is the [Cin, H·W] matrix.
+			tensor.Gemm(false, false, cout, cols, k, 1, w.Data(), k, xb, cols, 0, tile, cols)
+		default:
+			tensor.ConvGemm(w.Data(), cout, xb, cin, g, tile, wsp)
 		}
 		// Fused epilogue over the cache-hot tile.
 		for ch := 0; ch < cout; ch++ {
@@ -188,7 +169,7 @@ func (c *FusedConvBias) BackwardScratch(in []*tensor.Tensor, out, gradOut *tenso
 		bd[ch] = float32(s)
 	}
 
-	convGrads := c.conv().BackwardScratch(in[:2], out, g, wsp)
+	convGrads := c.convOp.BackwardScratch(in[:2], out, g, wsp)
 	if masked != nil {
 		wsp.Release(masked)
 	}
@@ -199,7 +180,7 @@ func (c *FusedConvBias) BackwardScratch(in []*tensor.Tensor, out, gradOut *tenso
 // pointwise epilogue, billed as one kernel (total FLOPs are conserved
 // relative to the unfused conv→bias→relu chain).
 func (c *FusedConvBias) FwdCost(in []tensor.Shape, out tensor.Shape, elemBytes int) graph.Cost {
-	conv := c.conv().FwdCost(in[:2], out, elemBytes)
+	conv := c.convOp.FwdCost(in[:2], out, elemBytes)
 	epilogue := 1.0
 	if c.ReLU {
 		epilogue = 2
@@ -209,7 +190,7 @@ func (c *FusedConvBias) FwdCost(in []tensor.Shape, out tensor.Shape, elemBytes i
 
 // BwdCost implements graph.Op.
 func (c *FusedConvBias) BwdCost(in []tensor.Shape, out tensor.Shape, elemBytes int) graph.Cost {
-	conv := c.conv().BwdCost(in[:2], out, elemBytes)
+	conv := c.convOp.BwdCost(in[:2], out, elemBytes)
 	return conv.Add(graph.Cost{
 		FLOPs: 2 * float64(out.NumElements()),
 		Bytes: float64(out.NumElements()) * float64(elemBytes),

@@ -10,8 +10,10 @@ import (
 
 // TestDirectConvBitParity sweeps geometries (kernel sizes, pads, dilations,
 // channel counts, batch, non-square inputs) and asserts the inference-mode
-// forward is bit-identical to the training im2col+GEMM forward. This is the
-// contract that makes serving masks reproduce the training-kernel masks.
+// forward is bit-identical to the training forward. This is the contract
+// that makes serving masks reproduce the training-kernel masks;
+// TestTrainConvMatchesIm2colReference pins the training forward itself to
+// the materialized im2col+GEMM formulation.
 func TestDirectConvBitParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cases := []struct {

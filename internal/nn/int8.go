@@ -52,7 +52,7 @@ func MarkInt8(g *graph.Graph) error {
 		case *Conv2D:
 			cv = op
 		case *FusedConvBias:
-			cv = op.conv()
+			cv = op.convOp
 		default:
 			continue
 		}

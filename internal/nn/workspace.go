@@ -5,21 +5,10 @@ import "repro/internal/tensor"
 // heapWS backs the plain Forward/Backward paths: it draws from the shared
 // default pool, so op outputs handed to callers keep allocate-per-call
 // semantics (they are never returned to the pool), while internal scratch
-// (im2col panels, batch-norm temporaries) — which the ops do release —
-// still gets recycled across calls. Scratch-aware executors pass their own
+// (bordered images, data-gradient panels, batch-norm temporaries) — which
+// the ops do release — still gets recycled across calls. Scratch-aware executors pass their own
 // per-rank workspace instead (see graph.ScratchOp).
 var heapWS = tensor.NewWorkspace(nil)
-
-// ReleaseCaches implements graph.CachedOp: drops the cached forward
-// im2col panels.
-func (c *Conv2D) ReleaseCaches() { c.fwdCols = nil }
-
-// ReleaseCaches implements graph.CachedOp.
-func (c *FusedConvBias) ReleaseCaches() {
-	if c.convOp != nil {
-		c.convOp.ReleaseCaches()
-	}
-}
 
 // ReleaseCaches implements graph.CachedOp: drops the argmax index map.
 func (m *MaxPool2D) ReleaseCaches() { m.idx = nil }

@@ -120,6 +120,107 @@ func TestConvImagePackMatchesPackB(t *testing.T) {
 	}
 }
 
+// TestConvGemmWeightGradMatchesIm2colGemm checks ConvGemmWeightGrad
+// against the materialized formulation, Im2col followed by the transposed
+// Gemm, bit for bit, under both kernel ISAs, over the geometries, cin and
+// cout of TestConvGemmMatchesIm2colGemm. Each case accumulates two images
+// with β = 1 onto a nonzero gradient, as a training batch does, and the
+// second image carries a NaN and both infinities so that non-finite
+// operands take the same path through either formulation.
+func TestConvGemmWeightGradMatchesIm2colGemm(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	wsp := NewWorkspace(NewPool())
+	forEachISA(t, func(t *testing.T) {
+		for _, g := range convGemmGeoms {
+			cols := g.OutH() * g.OutW()
+			for _, cin := range []int{1, 3, 30} {
+				k := cin * g.KH * g.KW
+				imSize := cin * g.InH * g.InW
+				x := randomSlice(rng, 2*imSize)
+				x[imSize] = float32(math.NaN())
+				x[imSize+imSize/2] = float32(math.Inf(1))
+				x[2*imSize-1] = float32(math.Inf(-1))
+				col := make([]float32, k*cols)
+				for _, cout := range []int{1, 8, 24, 150} {
+					if cout*cols*k > 1<<24 {
+						continue
+					}
+					gOut := randomSlice(rng, 2*cout*cols)
+					want := randomSlice(rng, cout*k)
+					got := append([]float32(nil), want...)
+					for b := 0; b < 2; b++ {
+						Im2col(x[b*imSize:(b+1)*imSize], cin, g, col)
+						Gemm(false, true, cout, k, cols, 1, gOut[b*cout*cols:], cols, col, cols, 1, want, k)
+						ConvGemmWeightGrad(gOut[b*cout*cols:(b+1)*cout*cols], cout,
+							x[b*imSize:(b+1)*imSize], cin, g, got, wsp)
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s cin=%d cout=%d (small path %v): gw[%d] = %v, Im2col+Gemm %v",
+								geomName(g), cin, cout, GemmUsesSmallPath(cout, k, cols), i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestConvImagePackTMatchesPackB checks the transposed implicit packer
+// against packB and packB16 with transB over the materialized Im2col
+// matrix, for every K block (output pixels) and every NC block (taps) of
+// each geometry: the same bytes, dead lanes included. Besides the
+// drivers' own block sizes, a small KC and NC split the pixels and taps
+// into many blocks whose starts fall inside an output row and inside a
+// kernel window. Under the AVX2 leg the 16-wide strips take the 8×8
+// register transposes; under the scalar leg, the per-pixel gather.
+func TestConvImagePackTMatchesPackB(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	forEachISA(t, func(t *testing.T) { packTMatchesPackB(t, rng) })
+}
+
+func packTMatchesPackB(t *testing.T, rng *rand.Rand) {
+	for _, g := range convGemmGeoms {
+		cols := g.OutH() * g.OutW()
+		for _, cin := range []int{1, 3, 30} {
+			k := cin * g.KH * g.KW
+			x := randomSlice(rng, cin*g.InH*g.InW)
+			x[0] = float32(math.NaN())
+			x[len(x)-1] = float32(math.Inf(-1))
+			col := make([]float32, k*cols)
+			Im2col(x, cin, g, col)
+			ph, pw := g.bordered()
+			pad := make([]float32, cin*ph*pw)
+			borderImage(x, cin, g, ph, pw, pad)
+			img := convImage{pad: pad, g: g, ph: ph, pw: pw}
+			for _, nr := range []int{gemmNR, avxNR} {
+				for _, blk := range [][2]int{{gemmKC, gemmNC}, {100, 48}} {
+					kc, nc := blk[0], blk[1]
+					panel := ((nc + nr - 1) / nr) * nr * kc
+					want, got := make([]float32, panel), make([]float32, panel)
+					for jc := 0; jc < k; jc += nc {
+						for pc := 0; pc < cols; pc += kc {
+							ncEff, kcEff := min(nc, k-jc), min(kc, cols-pc)
+							for i := range got {
+								want[i], got[i] = float32(math.NaN()), float32(math.Inf(1))
+							}
+							bSource{transB: true, b: col, ldb: cols}.pack(nr, jc, ncEff, pc, kcEff, want)
+							bSource{imgT: &img}.pack(nr, jc, ncEff, pc, kcEff, got)
+							used := ((ncEff + nr - 1) / nr) * nr * kcEff
+							for i := 0; i < used; i++ {
+								if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+									t.Fatalf("%s cin=%d nr=%d kc=%d nc=%d jc=%d pc=%d: panel[%d] = %v, packed Im2col %v",
+										geomName(g), cin, nr, kc, nc, jc, pc, i, got[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // forEachISA runs f under the scalar kernels and, where the CPU has them,
 // the AVX2 kernels, restoring the active ISA afterwards.
 func forEachISA(t *testing.T, f func(t *testing.T)) {

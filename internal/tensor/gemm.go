@@ -294,12 +294,14 @@ func putPanel(p *panel) {
 
 // bSource is the B operand of the blocked driver: a stored matrix op(b),
 // or — img set — the implicit im2col matrix of a zero-bordered image (see
-// ConvGemm), which is never materialized.
+// ConvGemm), or — imgT set — that matrix's transpose (see
+// ConvGemmWeightGrad). The implicit matrices are never materialized.
 type bSource struct {
 	transB bool
 	b      []float32
 	ldb    int
 	img    *convImage
+	imgT   *convImage
 }
 
 // pack writes rows [pc, pc+kcEff) × columns [jc, jc+ncEff) of the operand
@@ -308,6 +310,8 @@ func (s bSource) pack(nr, jc, ncEff, pc, kcEff int, dst []float32) {
 	switch {
 	case s.img != nil:
 		s.img.pack(nr, jc, ncEff, pc, kcEff, dst)
+	case s.imgT != nil:
+		s.imgT.packT(nr, jc, ncEff, pc, kcEff, dst)
 	case nr == avxNR:
 		packB16(s.transB, s.b, s.ldb, jc, ncEff, pc, kcEff, dst)
 	default:

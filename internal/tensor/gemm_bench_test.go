@@ -87,6 +87,43 @@ func BenchmarkConvTile(b *testing.B) {
 	})
 }
 
+// BenchmarkConvWeightGrad times one image's convolution weight gradient
+// at the growth-rate shape of the training benchmark's Tiramisu — a 32×32
+// image, 3×3 kernel, pad 1, 16 → 4 channels, the m4 n144 k1024 product —
+// materialized (Im2col, then the transposed Gemm) and with
+// ConvGemmWeightGrad packing its B panel straight from the image.
+func BenchmarkConvWeightGrad(b *testing.B) {
+	const cin, cout = 16, 4
+	g := ConvGeom{InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1,
+		PadH: 1, PadW: 1, DilH: 1, DilW: 1}
+	cols, k := g.OutH()*g.OutW(), cin*g.KH*g.KW
+	x := make([]float32, cin*g.InH*g.InW)
+	gOut := make([]float32, cout*cols)
+	for i := range x {
+		x[i] = float32(i%5) - 2
+	}
+	for i := range gOut {
+		gOut[i] = float32(i%7) - 3
+	}
+	gw := make([]float32, cout*k)
+	flops := float64(2 * cout * cols * k)
+	b.Run("im2col+gemm", func(b *testing.B) {
+		col := make([]float32, k*cols)
+		for b.Loop() {
+			Im2col(x, cin, g, col)
+			Gemm(false, true, cout, k, cols, 1, gOut, cols, col, cols, 1, gw, k)
+		}
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
+	b.Run("packed", func(b *testing.B) {
+		wsp := NewWorkspace(NewPool())
+		for b.Loop() {
+			ConvGemmWeightGrad(gOut, cout, x, cin, g, gw, wsp)
+		}
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
+}
+
 func BenchmarkGemmBig(b *testing.B)  { benchGemm(b, 256, 512, 512) }
 func BenchmarkGemmTiny(b *testing.B) { benchGemm(b, 8, 256, 72) }
 

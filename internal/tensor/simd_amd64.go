@@ -35,7 +35,7 @@ func scaleAllFiniteAVX2(alpha float32, x *float32, n int) int32
 func dotAVX2(x, y *float32, n int) float64
 
 //go:noescape
-func transpose8x8AVX2(src *float32, srcStride int, dst *float32, dstStride int)
+func gatherT8x8AVX2(src *float32, offs *int, dst *float32, dstStride int)
 
 // simdGemmTile runs the full 6×16 tile with the epilogue in assembly.
 // mode: 0 accumulate, 1 overwrite, 2 blend (see gemmBlocked).
@@ -137,10 +137,14 @@ func simdTranspose(src []float32, rows, cols int, dst []float32) bool {
 	if rows < 8 || cols < 8 || !simd.UseAVX2() {
 		return false
 	}
+	var offs [8]int
+	for i := range offs {
+		offs[i] = i * cols
+	}
 	r8, c8 := rows&^7, cols&^7
 	for i := 0; i < r8; i += 8 {
 		for j := 0; j < c8; j += 8 {
-			transpose8x8AVX2(&src[i*cols+j], cols, &dst[j*rows+i], rows)
+			gatherT8x8AVX2(&src[i*cols+j], &offs[0], &dst[j*rows+i], rows)
 		}
 		for j := c8; j < cols; j++ {
 			for ii := i; ii < i+8; ii++ {
@@ -154,6 +158,15 @@ func simdTranspose(src []float32, rows, cols int, dst []float32) bool {
 		}
 	}
 	return true
+}
+
+// simdGatherT8x8 writes dst[j*dstStride+i] = src[offs[i]+j] for i, j < 8:
+// eight 8-float rows of src at arbitrary offsets, transposed in registers.
+// Pure data movement, bit-exact by construction. The caller checks that
+// the vector path is on (simd.UseAVX2) and that every element read and
+// written is in range; only the first of each is bounds-checked here.
+func simdGatherT8x8(src []float32, offs *[8]int, dst []float32, dstStride int) {
+	gatherT8x8AVX2(&src[0], &offs[0], &dst[0], dstStride)
 }
 
 // FMAPeakGFLOPS estimates the core's single-thread FMA peak by timing a

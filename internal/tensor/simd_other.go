@@ -26,4 +26,8 @@ func simdDot(x, y []float32) (float64, bool) { return 0, false }
 
 func simdTranspose(src []float32, rows, cols int, dst []float32) bool { return false }
 
+func simdGatherT8x8(src []float32, offs *[8]int, dst []float32, dstStride int) {
+	panic("tensor: simdGatherT8x8 called without AVX2 support")
+}
+
 func fmaPeakProbeRun(iters int) bool { return false }

@@ -115,29 +115,35 @@ dtdone:
 	MOVSD X0, ret+24(FP)
 	RET
 
-// func transpose8x8AVX2(src *float32, srcStride int, dst *float32, dstStride int)
-// dst[j*dstStride+i] = src[i*srcStride+j] for an 8×8 tile. The classic
-// three-stage in-register recipe: unpack 32-bit pairs, shuffle 64-bit
-// pairs, then swap 128-bit halves across the two YMM lanes.
-TEXT ·transpose8x8AVX2(SB), NOSPLIT, $0-32
+// func gatherT8x8AVX2(src *float32, offs *int, dst *float32, dstStride int)
+// dst[j*dstStride+i] = src[offs[i]+j] for an 8×8 tile: eight 8-float rows
+// at arbitrary offsets (offs[i] = i·stride for a plain strided tile),
+// transposed by the classic three-stage in-register recipe: unpack 32-bit
+// pairs, shuffle 64-bit pairs, then swap 128-bit halves across the two YMM
+// lanes.
+TEXT ·gatherT8x8AVX2(SB), NOSPLIT, $0-32
 	MOVQ src+0(FP), SI
-	MOVQ srcStride+8(FP), AX
-	SHLQ $2, AX
+	MOVQ offs+8(FP), R8
 	MOVQ dst+16(FP), DI
 	MOVQ dstStride+24(FP), BX
 	SHLQ $2, BX
 
-	VMOVUPS (SI), Y0
-	VMOVUPS (SI)(AX*1), Y1
-	LEAQ    (SI)(AX*2), SI
-	VMOVUPS (SI), Y2
-	VMOVUPS (SI)(AX*1), Y3
-	LEAQ    (SI)(AX*2), SI
-	VMOVUPS (SI), Y4
-	VMOVUPS (SI)(AX*1), Y5
-	LEAQ    (SI)(AX*2), SI
-	VMOVUPS (SI), Y6
-	VMOVUPS (SI)(AX*1), Y7
+	MOVQ    0(R8), AX
+	VMOVUPS (SI)(AX*4), Y0
+	MOVQ    8(R8), AX
+	VMOVUPS (SI)(AX*4), Y1
+	MOVQ    16(R8), AX
+	VMOVUPS (SI)(AX*4), Y2
+	MOVQ    24(R8), AX
+	VMOVUPS (SI)(AX*4), Y3
+	MOVQ    32(R8), AX
+	VMOVUPS (SI)(AX*4), Y4
+	MOVQ    40(R8), AX
+	VMOVUPS (SI)(AX*4), Y5
+	MOVQ    48(R8), AX
+	VMOVUPS (SI)(AX*4), Y6
+	MOVQ    56(R8), AX
+	VMOVUPS (SI)(AX*4), Y7
 
 	VUNPCKLPS Y1, Y0, Y8
 	VUNPCKHPS Y1, Y0, Y9
