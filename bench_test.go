@@ -529,10 +529,8 @@ func multiRankStepConfig(steps, ranks int) core.Config {
 
 // BenchmarkMultiRankStep measures multi-rank training steps (8 goroutine
 // ranks, real payloads, real backward passes) across the exchange
-// pipelines: the PR 2 baseline (count-fused synchronous Step, inline data,
-// dedicated cancellation collective), the bucket-planned serial exchange
-// with the async prefetcher, the fully overlapped exchange, and the
-// overlapped exchange on the FP16 wire.
+// drivers: the bucket-planned serial exchange, the fully overlapped
+// exchange, and the overlapped exchange on the FP16 wire.
 //
 // steps/s is host throughput (compute-bound on this 1-core reference
 // container — the exchange is ~5% of host time). virtual-us/step is the
@@ -546,7 +544,6 @@ func BenchmarkMultiRankStep(b *testing.B) {
 		mode core.ExchangeMode
 		wire mpi.Wire
 	}{
-		{"legacy-serial", core.ExchangeLegacy, mpi.WireFP32},
 		{"bucketed-serial", core.ExchangeSerial, mpi.WireFP32},
 		{"overlapped", core.ExchangeOverlap, mpi.WireFP32},
 		{"overlapped-fp16wire", core.ExchangeOverlap, mpi.WireFP16},
@@ -872,14 +869,9 @@ func BenchmarkRadixSweep(b *testing.B) {
 				w := mpi.NewWorld(simnet.Loopback(ranks))
 				makespan = w.Run(func(c *mpi.Comm) {
 					sess := horovod.NewSession(c, allreduce.Flat{Algorithm: mpi.Ring}, horovod.Tree(radix))
-					grads := map[horovod.TensorID][]float32{}
-					var order []horovod.TensorID
-					for t := 0; t < tensors; t++ {
-						id := horovod.TensorID(t)
-						grads[id] = make([]float32, 64)
-						order = append(order, id)
-					}
-					sess.Step(order, grads)
+					sizes, grads, order := benchGrads(tensors, 64)
+					sess.PlanBuckets(sizes)
+					sess.Exchange(order, grads, 0)
 					if c.Rank() == 0 {
 						stats = sess.Stats()
 					}
@@ -894,29 +886,39 @@ func BenchmarkRadixSweep(b *testing.B) {
 	}
 }
 
+// benchGrads returns n tensors of elems floats each: their sizes for
+// PlanBuckets, the buffers, and a readiness order.
+func benchGrads(n, elems int) ([]int, [][]float32, []horovod.TensorID) {
+	sizes := make([]int, n)
+	grads := make([][]float32, n)
+	order := make([]horovod.TensorID, n)
+	for t := range grads {
+		sizes[t] = elems
+		grads[t] = make([]float32, elems)
+		order[t] = horovod.TensorID(t)
+	}
+	return sizes, grads, order
+}
+
 // BenchmarkTensorFusion measures Horovod's fusion buffer: batching ready
 // tensors into fewer collectives cuts both control traffic and all-reduce
-// launches (the effect gradient lag amplifies, per §V-B4).
+// launches (the effect gradient lag amplifies, per §V-B4). fuseN sizes the
+// fusion buffer to hold N tensors.
 func BenchmarkTensorFusion(b *testing.B) {
 	for _, fusion := range []int{1, 8} {
 		b.Run(fmt.Sprintf("fuse%d", fusion), func(b *testing.B) {
-			const ranks, tensors = 8, 24
+			const ranks, tensors, elems = 8, 24, 256
 			var batches int
 			var makespan float64
 			for i := 0; i < b.N; i++ {
 				w := mpi.NewWorld(simnet.Loopback(ranks))
 				makespan = w.Run(func(c *mpi.Comm) {
 					cfg := horovod.Tree(4)
-					cfg.FusionTensors = fusion
+					cfg.FusionBufferBytes = fusion * elems * 4
 					sess := horovod.NewSession(c, allreduce.Flat{Algorithm: mpi.Ring}, cfg)
-					grads := map[horovod.TensorID][]float32{}
-					var order []horovod.TensorID
-					for t := 0; t < tensors; t++ {
-						id := horovod.TensorID(t)
-						grads[id] = make([]float32, 256)
-						order = append(order, id)
-					}
-					sess.Step(order, grads)
+					sizes, grads, order := benchGrads(tensors, elems)
+					sess.PlanBuckets(sizes)
+					sess.Exchange(order, grads, 0)
 					if c.Rank() == 0 {
 						batches = sess.Stats().Batches
 					}

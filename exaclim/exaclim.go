@@ -211,11 +211,6 @@ func New(opts ...Option) (*Experiment, error) {
 		return net, nil
 	}
 
-	exchange := core.ExchangeOverlap
-	if o.noOverlap {
-		exchange = core.ExchangeSerial
-	}
-
 	return &Experiment{
 		cfg: core.Config{
 			BuildNet:           buildNet,
@@ -234,7 +229,6 @@ func New(opts ...Option) (*Experiment, error) {
 			Fabric:             fabric,
 			Horovod:            hvd,
 			HybridReduce:       o.hybrid,
-			Exchange:           exchange,
 			FusionBufferBytes:  o.fusionBytes,
 			Wire:               o.wire,
 			Steps:              o.steps,
@@ -242,7 +236,6 @@ func New(opts ...Option) (*Experiment, error) {
 			ValidationSize:     o.valSize,
 			ValidateEvery:      o.valEvery,
 			StepComputeSeconds: o.stepSeconds,
-			Workspace:          o.workspace,
 			KernelWorkers:      o.kernelWorkers,
 			KernelISA:          o.kernelISA,
 			CheckpointEvery:    o.ckptEvery,
@@ -279,7 +272,6 @@ type ControlPlaneStats struct {
 
 // MemoryStats is rank 0's workspace-pool traffic for the run: how much of
 // the execution's buffer demand was served by reuse instead of allocation.
-// Under WorkspaceFresh all fields are zero.
 type MemoryStats struct {
 	Requests   uint64 // buffer requests served by the workspace pool
 	Allocs     uint64 // requests that had to allocate fresh memory
@@ -300,8 +292,8 @@ type Result struct {
 	ControlPlane ControlPlaneStats
 	Memory       MemoryStats // workspace allocation/reuse counters
 	// OverlapFraction is the mean fraction of gradient-exchange buckets
-	// reduced before each backward pass finished (0 when WithCommOverlap
-	// is disabled).
+	// reduced before each backward pass finished (0 under
+	// WithChurnPolicy's EASGD mode, which has no per-step exchange).
 	OverlapFraction float64
 	// WireBytes is rank 0's cumulative gradient payload presented to the
 	// cross-node reduction at the wire width (see ControlPlaneStats) —

@@ -332,8 +332,8 @@ func TestSymbolicAnalysis(t *testing.T) {
 	}
 }
 
-// TestWorkspaceOptions covers the workspace-policy and kernel-worker
-// options plus the allocation/reuse counters on Result and StepStat.
+// TestWorkspaceOptions covers the kernel-worker option plus the
+// allocation/reuse counters on Result and StepStat.
 func TestWorkspaceOptions(t *testing.T) {
 	if _, err := New(WithKernelWorkers(0)); err == nil {
 		t.Fatal("WithKernelWorkers(0) must be rejected")
@@ -342,25 +342,17 @@ func TestWorkspaceOptions(t *testing.T) {
 	exp, err := New(
 		WithSyntheticData(16, 16, 8, 3),
 		WithSteps(3),
-		WithWorkspacePolicy(WorkspaceFresh),
 		WithKernelWorkers(2),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exp.cfg.Workspace != core.WorkspaceFresh || exp.cfg.KernelWorkers != 2 {
-		t.Fatalf("workspace/kernel workers: %v/%d", exp.cfg.Workspace, exp.cfg.KernelWorkers)
-	}
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Memory.Requests != 0 || res.Memory.Reuses != 0 {
-		t.Fatalf("fresh policy must report zero pool traffic, got %+v", res.Memory)
+	if exp.cfg.KernelWorkers != 2 {
+		t.Fatalf("kernel workers: %d", exp.cfg.KernelWorkers)
 	}
 
-	// Default (pooled) policy: counters must move, and steady state must
-	// show reuse on the step records.
+	// The workspace pool: counters must move, and steady state must show
+	// reuse on the step records.
 	var last StepStat
 	exp2, err := New(
 		WithSyntheticData(16, 16, 8, 3),
@@ -375,7 +367,7 @@ func TestWorkspaceOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res2.Memory.Requests == 0 || res2.Memory.Reuses == 0 {
-		t.Fatalf("pooled policy must report pool traffic, got %+v", res2.Memory)
+		t.Fatalf("the workspace pool must report traffic, got %+v", res2.Memory)
 	}
 	if res2.Memory.Allocs+res2.Memory.Reuses != res2.Memory.Requests {
 		t.Fatalf("counters inconsistent: %+v", res2.Memory)

@@ -15,14 +15,14 @@ type StepStat struct {
 
 	// OverlapFrac is the fraction of this step's gradient-exchange buckets
 	// that were already reduced when the backward pass finished —
-	// communication hidden behind compute. Zero when WithCommOverlap is
-	// disabled.
+	// communication hidden behind compute. Zero under WithChurnPolicy's
+	// EASGD mode, which has no per-step exchange.
 	OverlapFrac float64
 
 	// PoolAllocs and PoolReuses are rank 0's cumulative workspace counters
 	// (buffer requests that allocated fresh memory vs. were served from the
-	// pool). Under the default pooled policy, a healthy run shows
-	// PoolReuses growing every step while PoolAllocs plateaus after warmup.
+	// pool). A healthy run shows PoolReuses growing every step while
+	// PoolAllocs plateaus after warmup.
 	PoolAllocs uint64
 	PoolReuses uint64
 }

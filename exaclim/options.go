@@ -112,7 +112,6 @@ type options struct {
 	hybrid      bool
 	radix       int
 	flatCtl     bool
-	noOverlap   bool
 	fusionBytes int
 	wire        WireFormat
 
@@ -122,7 +121,6 @@ type options struct {
 	valEvery    int
 	stepSeconds float64
 
-	workspace     WorkspacePolicy
 	kernelWorkers int
 	kernelISA     string
 
@@ -331,17 +329,6 @@ func WithFlatControlPlane() Option {
 	return func(o *options) { o.flatCtl = true }
 }
 
-// WithCommOverlap toggles the overlapped gradient exchange (default on):
-// each rank's gradients are fused into size-capped buckets and all-reduced
-// by a background goroutine while the backward pass is still computing
-// earlier layers, with sample generation prefetched alongside. Disabling
-// it runs the identical bucket-planned exchange synchronously after
-// backward — bit-identical weights at FP32, no overlap. Every StepStat
-// reports the achieved overlap fraction.
-func WithCommOverlap(enabled bool) Option {
-	return func(o *options) { o.noOverlap = !enabled }
-}
-
 // WithFusionBufferBytes caps the fused payload of one gradient-exchange
 // bucket (default 64 KiB). Larger buckets amortize collective latency over
 // more bytes; smaller ones start reducing earlier in the backward pass.
@@ -400,30 +387,6 @@ func WithValidationEvery(n int) Option {
 // curves come out at paper-like scales.
 func WithStepComputeSeconds(s float64) Option {
 	return func(o *options) { o.stepSeconds = s }
-}
-
-// WorkspacePolicy selects how per-rank execution memory is managed; see
-// the constants for the two policies.
-type WorkspacePolicy = core.WorkspacePolicy
-
-// Workspace policies, re-exported so callers need no extra import.
-const (
-	// WorkspacePooled (the default) gives every rank a persistent buffer
-	// pool and a reusing graph executor: activations, gradients, and kernel
-	// scratch are recycled across steps, which keeps the hot path
-	// FLOP-bound instead of allocator-bound.
-	WorkspacePooled = core.WorkspacePooled
-	// WorkspaceFresh restores step-fresh allocation (a new executor and new
-	// tensors every step) — useful for debugging at a large throughput
-	// cost.
-	WorkspaceFresh = core.WorkspaceFresh
-)
-
-// WithWorkspacePolicy overrides the execution-memory policy (default
-// WorkspacePooled). Allocation/reuse counters appear on every StepStat and
-// on Result.Memory either way.
-func WithWorkspacePolicy(p WorkspacePolicy) Option {
-	return func(o *options) { o.workspace = p }
 }
 
 // WithKernelWorkers caps how many pool workers one tensor kernel call
@@ -584,8 +547,8 @@ func WithElasticResume(path string) Option {
 // keep the extra ranks as hot spares), gradients combine in a canonical
 // world-size-invariant order, and the epilogue averages over n. This is the
 // foundation WithElasticResume's rescale contract stands on. Requires the
-// bucketed exchange (default), the flat reducer, and the FP32 wire format.
-// Default 0: legacy one-column-per-rank behaviour.
+// flat reducer and the FP32 wire format. Default 0: the classic run, one
+// column per rank.
 func WithGlobalBatch(n int) Option {
 	return func(o *options) {
 		if n < 1 {

@@ -4,33 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
-	"repro/internal/allreduce"
-	"repro/internal/climate"
-	"repro/internal/easgd"
 	"repro/internal/graph"
-	"repro/internal/horovod"
-	"repro/internal/hpfloat"
 	"repro/internal/models"
-	"repro/internal/mpi"
-	"repro/internal/opt"
 	"repro/internal/simnet"
-	"repro/internal/tensor"
 )
 
 // Elastic training: the same synchronous data-parallel run, restated so the
 // trained trajectory is a function of the GLOBAL BATCH (GlobalBatch sample
 // columns per step) rather than the world size. Column c draws the index
-// stream legacy rank c would have drawn, each rank computes a contiguous
-// share of columns (models.ShardColumns), gradients combine over canonical
-// world-size-invariant trees (a local balanced tree per rank, then
-// allreduce.CanonicalTree across ranks), and the epilogue averages by the
-// global batch. The result is the determinism contract the resume tests
-// pin: for power-of-two world sizes and global batches the loss trajectory
-// and weights are bit-exact per global batch across reshardings; other
-// shapes keep the exact global sample sequence but may differ in final bits
-// (the local combine tree of a non-power-of-two column share associates
+// stream rank c of a classic run would have drawn, each rank computes a
+// contiguous share of columns (models.ShardColumns), gradients combine over
+// canonical world-size-invariant trees (a local balanced tree per rank,
+// then allreduce.CanonicalTree across ranks), and the epilogue averages by
+// the global batch. trainRank runs both: its rankPlan carries the columns,
+// reducers and divisor, and a classic run is the case of one column per
+// rank. The result is the determinism contract the resume tests pin: for
+// power-of-two world sizes and global batches the loss trajectory and
+// weights are bit-exact per global batch across reshardings; other shapes
+// keep the exact global sample sequence but may differ in final bits (the
+// local combine tree of a non-power-of-two column share associates
 // differently).
 //
 // The same machinery handles mid-run node failure: a rank on a failed node
@@ -215,565 +208,6 @@ func (a *scalarAccum) fold(x float32) float32 {
 		}
 	}
 	return x
-}
-
-// trainRankElastic is one rank's elastic run: trainRank restated over
-// global-batch columns. It lives beside trainRank rather than inside it so
-// the legacy path — whose bit-exactness contract is pinned by its own
-// tests — stays untouched.
-func trainRankElastic(c *mpi.Comm, cfg Config, classWeights []float32,
-	resume *models.TrainState, res *Result, resMu *sync.Mutex) error {
-
-	if cfg.StartClock > 0 {
-		c.Advance(cfg.StartClock)
-	}
-
-	gb := cfg.GlobalBatch
-	lo, hi := models.ShardColumns(gb, cfg.Ranks, c.Rank())
-	k := hi - lo // this rank's column count (0 = idle: world larger than batch)
-	active := min(gb, cfg.Ranks)
-	easgdMode := cfg.Churn.Mode == ChurnEASGD
-
-	net, err := cfg.BuildNet()
-	if err != nil {
-		return err
-	}
-	if resume != nil {
-		if err := models.RestoreParams(net.Graph, resume.Params); err != nil {
-			return err
-		}
-	}
-	if c.Rank() == 0 {
-		resMu.Lock()
-		res.Net = net
-		resMu.Unlock()
-	}
-	params := net.Graph.Params()
-	paramIndex := make(map[*graph.Node]int, len(params))
-	for i, p := range params {
-		paramIndex[p] = i
-	}
-
-	fabric := cfg.Fabric
-	if fabric == nil {
-		fabric = simnet.Loopback(cfg.Ranks)
-	}
-	ff, _ := fabric.(*simnet.FaultFabric)
-
-	// The canonical tree replaces the ring/hybrid reducers: its summation
-	// order depends only on which COLUMNS exist, never on how many ranks
-	// carry them. Idle ranks are masked out of the tree but still receive
-	// the broadcast sums, so they apply the identical optimizer update.
-	ct := &allreduce.CanonicalTree{ActiveRanks: active}
-	var sess *horovod.Session
-	if !easgdMode {
-		hvd := cfg.Horovod
-		if cfg.FusionBufferBytes > 0 {
-			hvd.FusionBufferBytes = cfg.FusionBufferBytes
-		}
-		sess = horovod.NewSession(c, ct, hvd)
-		defer sess.Close()
-		sizes := make([]int, len(params))
-		for i, p := range params {
-			sizes[i] = p.Shape.NumElements()
-		}
-		sess.PlanBuckets(sizes)
-	}
-	overlapped := cfg.Exchange == ExchangeOverlap && !easgdMode
-
-	var base opt.Optimizer
-	switch cfg.Optimizer {
-	case Adam:
-		base = opt.NewAdam(cfg.LR)
-	default:
-		base = opt.NewSGD(cfg.LR, 0.9, 1e-4)
-	}
-	if cfg.UseLARC {
-		trust := cfg.LARCTrust
-		if trust == 0 {
-			trust = 0.01
-		}
-		base = opt.NewLARC(base, trust)
-	}
-	optimizer := opt.NewLag(base, cfg.GradientLag)
-
-	scaler := &hpfloat.LossScaler{Scale: cfg.LossScale, GrowthInterval: 0}
-
-	startStep := 0
-	if resume != nil {
-		optParams := make([]opt.Param, len(params))
-		for i, p := range params {
-			optParams[i] = opt.Param{Name: p.Label, Value: p.Value}
-		}
-		if resume.Opt != nil {
-			if err := optimizer.RestoreState(resume.Opt, optParams); err != nil {
-				return err
-			}
-		}
-		if resume.Scaler != nil {
-			scaler.RestoreState(*resume.Scaler)
-		}
-		startStep = int(resume.Step)
-	}
-
-	// One prefetcher per owned column: column c replays the index stream
-	// legacy rank c would have drawn (the prefetcher's rank argument is the
-	// column id), so the global sample sequence is a property of the global
-	// batch alone and survives every resharding.
-	trainIdx := cfg.Dataset.Indices(climate.Train)
-	if len(trainIdx) == 0 {
-		return fmt.Errorf("core: dataset has no training samples")
-	}
-	pfs := make([]*climate.Prefetcher, k)
-	for j := range pfs {
-		col := lo + j
-		var cursor uint64
-		if resume != nil {
-			cursor = resume.Cursors[col]
-		}
-		pf := climate.NewPrefetcherAt(cfg.Dataset, trainIdx, cfg.Seed, col, 2, cursor)
-		defer pf.Stop()
-		pfs[j] = pf
-	}
-
-	rw := newRankWorkspace(net, cfg.Workspace)
-	rw.initExchange(len(params))
-	defer graph.ReleaseOpCaches(net.Graph)
-
-	acc := newGradAccum(params)
-	var lossAcc scalarAccum
-
-	cancellable := cfg.Ctx != nil && cfg.Ctx.Done() != nil
-
-	skipped := 0
-	if resume != nil {
-		skipped = resume.Skipped
-	}
-
-	var snap *snapshotter
-	if c.Rank() == 0 && cfg.CheckpointEvery > 0 {
-		snap = newSnapshotter(cfg.CheckpointDir, cfg.CheckpointRetain, cfg.CheckpointSync)
-		defer snap.stop()
-	}
-	var histRecords []models.StepRecord
-	var valRecords []models.ValRecord
-	if snap != nil && resume != nil {
-		histRecords = append(histRecords, resume.History...)
-		valRecords = append(valRecords, resume.ValHistory...)
-	}
-
-	// EASGD churn state: a replicated center variable, per-param scratch
-	// for checkpoint swaps, and one allreduce buffer sized for the largest
-	// parameter. The center seeds from the (possibly restored) weights.
-	var center, centerScratch [][]float32
-	var syncBuf []float32
-	alpha := float32(cfg.LR * cfg.Churn.Rho)
-	if easgdMode {
-		center = make([][]float32, len(params))
-		maxN := 0
-		for i, p := range params {
-			center[i] = append([]float32(nil), p.Value.Data()...)
-			maxN = max(maxN, p.Shape.NumElements())
-		}
-		syncBuf = make([]float32, maxN)
-		if snap != nil {
-			centerScratch = make([][]float32, len(params))
-			for i, p := range params {
-				centerScratch[i] = make([]float32, p.Shape.NumElements())
-			}
-		}
-	}
-
-	overlapSum := 0.0
-	recordFinal := func() {
-		if c.Rank() != 0 {
-			return
-		}
-		resMu.Lock()
-		res.SkippedSteps = skipped
-		if sess != nil {
-			res.CtlStats = sess.Stats()
-		}
-		res.PoolStats = rw.poolStats()
-		if n := len(res.History); n > 0 {
-			res.OverlapFrac = overlapSum / float64(n)
-		}
-		if snap != nil {
-			written, last, _ := snap.stop()
-			res.CheckpointsWritten = written
-			res.LastCheckpoint = last
-		}
-		resMu.Unlock()
-	}
-	// exitCollective ends the run at a step boundary every rank reached
-	// together: cause == nil means cancellation, otherwise the collective
-	// failure (ErrNodeFailed). A failed snapshot write still outranks both.
-	exitCollective := func(cause error) error {
-		recordFinal()
-		if snap != nil {
-			if _, _, serr := snap.stop(); serr != nil {
-				return serr
-			}
-		}
-		if cause != nil {
-			return cause
-		}
-		if cfg.Ctx != nil {
-			if err := cfg.Ctx.Err(); err != nil {
-				return err
-			}
-		}
-		return context.Canceled
-	}
-
-	// The gradient hook serves every microbatch: non-final columns only
-	// record what backward produced (the set is folded into the
-	// accumulator after backward); the final column folds the accumulated
-	// partial sums into its live gradients and hands them to the exchange.
-	finalMB := false
-	onGrad := func(p *graph.Node, g *tensor.Tensor) {
-		id := paramIndex[p]
-		d := g.Data()
-		rw.gradBufs[id] = d
-		rw.pushed[id] = true
-		if !finalMB {
-			return
-		}
-		acc.foldInto(id, d)
-		if easgdMode {
-			return
-		}
-		if overlapped {
-			sess.Push(horovod.TensorID(id), d)
-		} else {
-			rw.readyOrder = append(rw.readyOrder, horovod.TensorID(id))
-		}
-	}
-
-	for step := startStep; step < cfg.Steps; step++ {
-		if cfg.LRSchedule != nil {
-			optimizer.SetLR(cfg.LRSchedule(step))
-		}
-
-		flag := float32(0)
-		if cancellable && cfg.Ctx.Err() != nil {
-			flag = 1
-		}
-		if ff != nil && ff.FailedAsOf(c.Rank(), step) {
-			flag = failFlagVote
-		}
-
-		if easgdMode {
-			// EASGD has no per-step exchange to fold the vote into, so the
-			// control plane is a dedicated 1-element collective — the price
-			// of detecting churn and cancellation at every boundary.
-			rw.lossBuf[0] = flag
-			c.Allreduce(rw.lossBuf[:1], mpi.Ring)
-			if fs := rw.lossBuf[0]; fs >= failFlagVote {
-				return exitCollective(ErrNodeFailed)
-			} else if fs > 0 {
-				return exitCollective(nil)
-			}
-		}
-
-		acc.reset()
-		lossAcc.reset()
-		finalLoss := float32(0)
-		rw.readyOrder = rw.readyOrder[:0]
-
-		for j := 0; j < k; j++ {
-			col := lo + j
-			finalMB = j == k-1
-
-			sample := pfs[j].Next()
-			feeds, err := rw.feedsForSample(net, sample, classWeights, cfg.Channels)
-			if err != nil {
-				return err
-			}
-			pfs[j].Recycle(sample)
-
-			// The executor seed is a column property (not a rank property,
-			// as in the legacy path), so per-sample scheduling randomization
-			// is world-size invariant.
-			ex := rw.stepExecutor(cfg.Precision, cfg.Seed+int64(step)*31+int64(col))
-			if cfg.Precision == graph.FP16 {
-				ex.SetLossScale(scaler.Scale)
-			}
-			if finalMB && overlapped {
-				// Earlier columns' compute is charged here, before the
-				// exchange goroutine takes the comm; the final column's
-				// compute rides the overlapped timeline inside the session.
-				if cfg.StepComputeSeconds > 0 && k > 1 {
-					c.Advance(float64(k-1) * cfg.StepComputeSeconds)
-				}
-				sess.BeginStep(flag, cfg.StepComputeSeconds)
-			}
-			for i := range rw.pushed {
-				rw.pushed[i] = false
-			}
-			ex.OnParamGrad = onGrad
-
-			if err := ex.Forward(feeds); err != nil {
-				return err
-			}
-			mbLoss := ex.Value(net.Loss).Data()[0]
-			if err := ex.Backward(net.Loss); err != nil {
-				return err
-			}
-			if finalMB {
-				finalLoss = mbLoss
-			} else {
-				lossAcc.add(mbLoss)
-			}
-
-			// Missing gradients (possible under extreme FP16 underflow) are
-			// substituted with zeros in every column, so the summation
-			// structure never depends on which columns produced them.
-			for i := range params {
-				if rw.pushed[i] {
-					continue
-				}
-				z := rw.zeroGrad(i, params[i].Shape.NumElements())
-				rw.gradBufs[i] = z
-				if !finalMB {
-					continue
-				}
-				acc.foldInto(i, z)
-				if easgdMode {
-					continue
-				}
-				if overlapped {
-					sess.Push(horovod.TensorID(i), z)
-				} else {
-					rw.readyOrder = append(rw.readyOrder, horovod.TensorID(i))
-				}
-			}
-			if !finalMB {
-				acc.add(rw.gradBufs)
-			}
-		}
-
-		if !easgdMode && k == 0 {
-			// Idle rank (world larger than the global batch): no compute,
-			// but full participation in the exchange protocol with zero
-			// contributions — the canonical tree masks them out and the
-			// broadcast brings back the true sums, so the idle rank applies
-			// the identical optimizer update and stays a hot spare.
-			if overlapped {
-				sess.BeginStep(flag, 0)
-			}
-			for i := range params {
-				z := rw.zeroGrad(i, params[i].Shape.NumElements())
-				rw.gradBufs[i] = z
-				if overlapped {
-					sess.Push(horovod.TensorID(i), z)
-				} else {
-					rw.readyOrder = append(rw.readyOrder, horovod.TensorID(i))
-				}
-			}
-		}
-
-		overlapFrac := 0.0
-		if !easgdMode {
-			var flagSum float32
-			if overlapped {
-				flagSum = sess.Wait()
-				overlapFrac = sess.LastOverlap()
-			} else {
-				if cfg.StepComputeSeconds > 0 && k > 0 {
-					c.Advance(float64(k) * cfg.StepComputeSeconds)
-				}
-				flagSum = sess.Exchange(rw.readyOrder, rw.gradBufs, flag)
-			}
-			if flagSum >= failFlagVote {
-				// A node failed. The exchange above drained the step on
-				// every rank; the half-applied step is discarded (no
-				// optimizer update, no history entry) so the restart resumes
-				// from a boundary every survivor agrees on.
-				return exitCollective(ErrNodeFailed)
-			}
-			if flagSum > 0 {
-				return exitCollective(nil)
-			}
-		} else if cfg.StepComputeSeconds > 0 && k > 0 {
-			c.Advance(float64(k) * cfg.StepComputeSeconds)
-		}
-
-		// Epilogue: average over the GLOBAL BATCH (not the world size —
-		// the gradient is a property of the columns), remove the loss
-		// scale, detect overflow. Under EASGD each worker averages its own
-		// columns only.
-		denom := gb
-		if easgdMode {
-			denom = max(k, 1)
-		}
-		factor := float32(1.0 / float64(denom))
-		if cfg.Precision == graph.FP16 {
-			factor *= float32(1 / scaler.Scale)
-		}
-		overflow := false
-		for i := range params {
-			if !tensor.ScaleAllFinite(factor, rw.gradBufs[i]) {
-				overflow = true
-			}
-		}
-
-		apply := true
-		if easgdMode && k == 0 {
-			// A stationary EASGD worker holds no columns: nothing to apply,
-			// and its parameters only move at sync boundaries.
-			apply = false
-		} else if cfg.Precision == graph.FP16 {
-			apply = scaler.Update(overflow)
-		} else if overflow {
-			apply = false
-		}
-		if apply {
-			for i, p := range params {
-				rw.ps[i] = opt.Param{
-					Name:  p.Label,
-					Value: p.Value,
-					Grad:  tensor.FromSlice(p.Shape, rw.gradBufs[i]),
-				}
-			}
-			optimizer.Step(rw.ps)
-		} else if !easgdMode || k > 0 {
-			skipped++
-		}
-
-		// EASGD synchronization: all-reduce the pre-sync worker parameters
-		// and apply the symmetric elastic update everywhere (the center is
-		// replicated, so no parameter server).
-		if easgdMode && (step+1)%cfg.Churn.Period == 0 {
-			for i, p := range params {
-				x := p.Value.Data()
-				buf := syncBuf[:len(x)]
-				copy(buf, x)
-				c.Allreduce(buf, mpi.Ring)
-				easgd.ElasticUpdate(x, center[i], buf, c.Size(), alpha)
-			}
-		}
-
-		var meanLoss float64
-		if easgdMode {
-			// Workers are only loosely coordinated between syncs, so the
-			// history records rank 0's local column mean.
-			if k > 0 {
-				meanLoss = float64(lossAcc.fold(finalLoss)) / float64(k)
-			}
-		} else {
-			// The recorded loss is the canonical mean over all columns:
-			// local fold in column-tree order, canonical tree across ranks —
-			// identical bits on every world size, like the gradients.
-			rw.lossBuf[0] = lossAcc.fold(finalLoss)
-			ct.Reduce(c, rw.lossBuf[:1])
-			meanLoss = float64(rw.lossBuf[0]) / float64(gb)
-		}
-
-		if c.Rank() == 0 {
-			overlapSum += overlapFrac
-			ps := rw.poolStats()
-			stat := StepStat{
-				Step:        step,
-				Loss:        meanLoss,
-				VirtualTime: c.Clock(),
-				Skipped:     !apply,
-				Last:        step == cfg.Steps-1,
-				OverlapFrac: overlapFrac,
-				PoolAllocs:  ps.Misses,
-				PoolReuses:  ps.Reuses(),
-			}
-			resMu.Lock()
-			res.History = append(res.History, stat)
-			resMu.Unlock()
-			if snap != nil {
-				histRecords = append(histRecords, models.StepRecord{
-					Step:    uint64(step),
-					Loss:    stat.Loss,
-					Skipped: stat.Skipped,
-				})
-			}
-			if cfg.OnStep != nil {
-				cfg.OnStep(stat)
-			}
-		}
-
-		if cfg.ValidateEvery > 0 && cfg.ValidationSize > 0 && (step+1)%cfg.ValidateEvery == 0 {
-			cm, err := validate(c, cfg, net, classWeights, rw)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				vstat := ValStat{
-					Step:     step,
-					MeanIoU:  cm.MeanIoU(),
-					Accuracy: cm.PixelAccuracy(),
-				}
-				resMu.Lock()
-				res.ValHistory = append(res.ValHistory, vstat)
-				resMu.Unlock()
-				if snap != nil {
-					valRecords = append(valRecords, models.ValRecord{
-						Step:     uint64(vstat.Step),
-						MeanIoU:  vstat.MeanIoU,
-						Accuracy: vstat.Accuracy,
-					})
-				}
-				if cfg.OnValidation != nil {
-					cfg.OnValidation(vstat)
-				}
-			}
-		}
-
-		if snap != nil && (step+1)%cfg.CheckpointEvery == 0 {
-			if easgdMode {
-				// The center variable is the model under EASGD (workers are
-				// exploration around it), and the checkpoint cadence is
-				// validated to land on sync boundaries, where the center is
-				// freshly averaged. Swap it in for the capture.
-				for i, p := range params {
-					d := p.Value.Data()
-					copy(centerScratch[i], d)
-					copy(d, center[i])
-				}
-			}
-			err := snap.capture(uint64(step+1), cfg, net, optimizer, scaler, skipped,
-				histRecords, valRecords)
-			if easgdMode {
-				for i, p := range params {
-					copy(p.Value.Data(), centerScratch[i])
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-
-	recordFinal()
-	if snap != nil {
-		if _, _, err := snap.stop(); err != nil {
-			return err
-		}
-	}
-
-	if cfg.ValidationSize > 0 {
-		cm, err := validate(c, cfg, net, classWeights, rw)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			resMu.Lock()
-			res.IoU = make([]float64, climate.NumClasses)
-			for cls := 0; cls < climate.NumClasses; cls++ {
-				res.IoU[cls] = cm.IoU(cls)
-			}
-			res.MeanIoU = cm.MeanIoU()
-			res.Accuracy = cm.PixelAccuracy()
-			resMu.Unlock()
-		}
-	}
-	return nil
 }
 
 // TrainElastic is the churn-surviving driver around Train: it runs the

@@ -208,6 +208,39 @@ func TestElasticNodeFailure(t *testing.T) {
 	}
 }
 
+// TestClassicNodeFailure: a classic run (GlobalBatch 0) votes a failed
+// node through the same exchange flag as an elastic one, so it drains the
+// failing step on every rank and returns ErrNodeFailed with the history
+// of the steps before it.
+func TestClassicNodeFailure(t *testing.T) {
+	ff := faultedFabric(4)
+	ff.FailNode(2, 5)
+
+	cfg := baseConfig(4, 12)
+	cfg.Fabric = ff
+	res, err := Train(cfg)
+	if !errors.Is(err, ErrNodeFailed) {
+		t.Fatalf("err = %v, want ErrNodeFailed", err)
+	}
+	if res == nil || len(res.History) != 5 {
+		t.Fatalf("partial result %+v, want 5 history entries", res)
+	}
+}
+
+// TestClassicStartClock: a classic run honours StartClock, so its first
+// step ends past the pre-advanced clock.
+func TestClassicStartClock(t *testing.T) {
+	cfg := baseConfig(2, 2)
+	cfg.StartClock = 1
+	res, err := Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vt := res.History[0].VirtualTime; vt <= 1 {
+		t.Fatalf("first step ends at virtual time %g, want > 1", vt)
+	}
+}
+
 // TestElasticNodeFailureBeforeFirstCheckpoint: when the failure lands
 // before any snapshot committed, the survivors restart from step 0.
 func TestElasticNodeFailureBeforeFirstCheckpoint(t *testing.T) {

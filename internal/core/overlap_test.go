@@ -107,26 +107,11 @@ func TestFP16WireTrainingConverges(t *testing.T) {
 	}
 }
 
-// TestLegacyExchangeStillTrains keeps the pre-overlap baseline path (used
-// by the benchmark comparison) alive: count-fused Step, dedicated
-// cancellation collective, inline sample generation.
-func TestLegacyExchangeStillTrains(t *testing.T) {
-	res := runMode(t, baseConfig(2, 12), ExchangeLegacy)
-	if !LossImproved(res.History, 0.05) {
-		t.Fatalf("legacy exchange did not improve: %.4f → %.4f",
-			res.History[0].Loss, res.FinalLoss)
-	}
-	if res.OverlapFrac != 0 || res.CtlStats.WireBytes != 0 {
-		t.Fatalf("legacy exchange reports bucketed stats: %v/%v",
-			res.OverlapFrac, res.CtlStats.WireBytes)
-	}
-}
-
 // TestOverlappedCancellation cancels mid-run under the overlapped exchange:
 // the vote rides the first bucket, and every rank exits at the same step
 // boundary without deadlocking a partner mid-collective.
 func TestOverlappedCancellation(t *testing.T) {
-	for _, mode := range []ExchangeMode{ExchangeOverlap, ExchangeSerial, ExchangeLegacy} {
+	for _, mode := range []ExchangeMode{ExchangeOverlap, ExchangeSerial} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := baseConfig(4, 10_000)
 		cfg.Exchange = mode

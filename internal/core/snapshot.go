@@ -85,7 +85,7 @@ func (s *snapshotter) capture(steps uint64, cfg Config, net *models.Network,
 	buf.Ranks = cfg.Ranks
 	buf.Seed = cfg.Seed
 	buf.Skipped = skipped
-	// Cursors are stored per global-batch column (legacy runs pin one
+	// Cursors are stored per global-batch column (classic runs pin one
 	// column per rank), which is what lets an elastic resume re-shard them
 	// across any world size.
 	gb := cfg.GlobalBatch

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/allreduce"
 	"repro/internal/climate"
+	"repro/internal/easgd"
 	"repro/internal/graph"
 	"repro/internal/horovod"
 	"repro/internal/hpfloat"
@@ -40,28 +41,6 @@ const (
 	Adam
 )
 
-// WorkspacePolicy selects how per-rank execution memory is managed.
-type WorkspacePolicy int
-
-const (
-	// WorkspacePooled (the default) gives each rank a persistent buffer pool
-	// and a reusing executor: activations, gradients, and kernel scratch are
-	// recycled across steps, and feed tensors are filled in place.
-	WorkspacePooled WorkspacePolicy = iota
-	// WorkspaceFresh restores step-fresh allocation (the pre-workspace
-	// behavior): a new executor and new tensors every step. Useful for
-	// debugging aliasing suspicions at a large throughput cost.
-	WorkspaceFresh
-)
-
-// String names the policy.
-func (w WorkspacePolicy) String() string {
-	if w == WorkspaceFresh {
-		return "fresh"
-	}
-	return "pooled"
-}
-
 // ExchangeMode selects the multi-rank gradient-exchange pipeline.
 type ExchangeMode int
 
@@ -75,22 +54,17 @@ const (
 	// ExchangeSerial runs the same bucket-planned exchange synchronously
 	// after backward — the debugging/ablation twin of ExchangeOverlap.
 	ExchangeSerial
-	// ExchangeLegacy is the pre-overlap baseline: count-fused
-	// horovod.Session.Step after backward, a dedicated cancellation
-	// collective per step, and inline sample generation. Kept for
-	// benchmarking the overlap win.
-	ExchangeLegacy
 )
 
 // String names the exchange mode.
 func (m ExchangeMode) String() string {
 	switch m {
+	case ExchangeOverlap:
+		return "overlap"
 	case ExchangeSerial:
 		return "serial"
-	case ExchangeLegacy:
-		return "legacy"
 	}
-	return "overlap"
+	return fmt.Sprintf("ExchangeMode(%d)", int(m))
 }
 
 // Config describes one training run.
@@ -121,13 +95,13 @@ type Config struct {
 	Fabric       simnet.Fabric // nil → loopback fabric of Ranks
 	Horovod      horovod.Config
 	HybridReduce bool
-	// Exchange selects the gradient-exchange pipeline (default
-	// ExchangeOverlap: comm overlapped with backward). All modes train the
-	// same weights at FP32; ExchangeLegacy differs in rounding (its fusion
-	// batching is timing-dependent) and exists as the benchmark baseline.
+	// Exchange selects the gradient-exchange driver (default
+	// ExchangeOverlap: comm overlapped with backward). Both drivers reduce
+	// the same fusion-bucket plan, so they train bit-identical weights;
+	// any other value is rejected.
 	Exchange ExchangeMode
-	// FusionBufferBytes caps one fused all-reduce bucket of the bucketed
-	// exchange modes (0 → horovod.DefaultFusionBufferBytes).
+	// FusionBufferBytes caps one fused all-reduce bucket of the exchange
+	// (0 → horovod.DefaultFusionBufferBytes).
 	FusionBufferBytes int
 	// Wire selects the gradient all-reduce wire format. mpi.WireFP16
 	// halves cross-node bytes (FP16 on the wire, FP32 accumulation) at a
@@ -145,8 +119,6 @@ type Config struct {
 	// wall-time curves (Fig 6) can be drawn at paper-like scales.
 	StepComputeSeconds float64
 
-	// Workspace selects pooled (default) or step-fresh execution memory.
-	Workspace WorkspacePolicy
 	// KernelWorkers, when > 0, caps the pool workers one tensor-kernel call
 	// may fan out to for the run (process-wide; restored afterwards). 0 keeps the current
 	// setting (GOMAXPROCS by default). The knob is a process global:
@@ -192,13 +164,14 @@ type Config struct {
 	ResumeFrom string
 
 	// GlobalBatch, when > 0, decouples the global batch (data-parallel
-	// sample columns per step) from the world size and switches the run to
-	// the elastic trainer: each rank computes a contiguous share of the
+	// sample columns per step) from the world size and makes the run
+	// elastic: each rank computes a contiguous share of the
 	// columns (models.ShardColumns) and gradients reduce over the canonical
 	// world-size-invariant tree, so the trained trajectory depends on the
-	// global batch, not on how many ranks computed it. Requires a bucketed
-	// exchange mode, the FP32 wire, and the flat reducer (hybrid's
-	// node-local phases are world-shape-dependent by construction).
+	// global batch, not on how many ranks computed it. Requires the FP32
+	// wire and the flat reducer (hybrid's node-local phases are
+	// world-shape-dependent by construction). 0 is the classic run: one
+	// column per rank, reduced by the configured ring or hybrid reducer.
 	GlobalBatch int
 	// ElasticResume permits ResumeFrom at a different world size than the
 	// snapshot's: the replicated state is remapped and the per-column data
@@ -245,14 +218,13 @@ type StepStat struct {
 
 	// OverlapFrac is the fraction of this step's exchange buckets that had
 	// already been reduced when the backward pass finished — gradient
-	// communication hidden behind compute. Zero under the serial and
-	// legacy exchange modes.
+	// communication hidden behind compute. Zero under ExchangeSerial and
+	// under EASGD churn, which has no per-step exchange.
 	OverlapFrac float64
 
 	// PoolAllocs and PoolReuses are rank 0's cumulative workspace counters:
 	// buffer requests that allocated fresh memory vs. were served from the
-	// pool. Under the pooled policy, steady state shows PoolReuses growing
-	// and PoolAllocs flat.
+	// pool. Steady state shows PoolReuses growing and PoolAllocs flat.
 	PoolAllocs uint64
 	PoolReuses uint64
 }
@@ -332,12 +304,14 @@ func Train(cfg Config) (*Result, error) {
 	if cfg.BuildNet == nil || cfg.Dataset == nil {
 		return nil, fmt.Errorf("core: BuildNet and Dataset are required")
 	}
-	fabric := cfg.Fabric
-	if fabric == nil {
-		fabric = simnet.Loopback(cfg.Ranks)
+	if cfg.Fabric == nil {
+		cfg.Fabric = simnet.Loopback(cfg.Ranks)
 	}
-	if fabric.Size() != cfg.Ranks {
-		return nil, fmt.Errorf("core: fabric size %d != ranks %d", fabric.Size(), cfg.Ranks)
+	if cfg.Fabric.Size() != cfg.Ranks {
+		return nil, fmt.Errorf("core: fabric size %d != ranks %d", cfg.Fabric.Size(), cfg.Ranks)
+	}
+	if cfg.Exchange != ExchangeOverlap && cfg.Exchange != ExchangeSerial {
+		return nil, fmt.Errorf("core: unknown exchange mode %v", cfg.Exchange)
 	}
 	if cfg.Horovod.Radix == 0 {
 		cfg.Horovod = horovod.Tree(4)
@@ -417,11 +391,7 @@ func Train(cfg Config) (*Result, error) {
 	// The final global batch is known only after a possible elastic resume
 	// (the snapshot's value wins), so the elastic-mode constraints validate
 	// here.
-	elastic := cfg.GlobalBatch > 0
-	if elastic {
-		if cfg.Exchange == ExchangeLegacy {
-			return nil, fmt.Errorf("core: elastic training requires a bucketed exchange mode")
-		}
+	if cfg.GlobalBatch > 0 {
 		if cfg.HybridReduce {
 			return nil, fmt.Errorf("core: elastic training requires the flat reducer (hybrid reduction is world-shape-dependent)")
 		}
@@ -475,15 +445,9 @@ func Train(cfg Config) (*Result, error) {
 		}
 	}
 
-	world := mpi.NewWorld(fabric)
+	world := mpi.NewWorld(cfg.Fabric)
 	makespan := world.Run(func(c *mpi.Comm) {
-		var err error
-		if elastic {
-			err = trainRankElastic(c, cfg, weights, resume, res, &resMu)
-		} else {
-			err = trainRank(c, cfg, weights, resume, res, &resMu)
-		}
-		if err != nil {
+		if err := trainRank(c, cfg, weights, resume, res, &resMu); err != nil {
 			resMu.Lock()
 			if firstErr == nil {
 				firstErr = err
@@ -508,7 +472,7 @@ func Train(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// reducerFor builds the gradient reducer for the run.
+// reducerFor builds the gradient reducer of a classic run.
 func reducerFor(cfg Config, fabric simnet.Fabric) horovod.Reducer {
 	if cfg.HybridReduce && fabric.RanksPerNode() > 1 {
 		h := allreduce.NewHybrid(fabric)
@@ -518,8 +482,66 @@ func reducerFor(cfg Config, fabric simnet.Fabric) horovod.Reducer {
 	return allreduce.Flat{Algorithm: mpi.Ring, Wire: cfg.Wire}
 }
 
+// rankPlan is what one rank's step loop does differently between a classic
+// run and an elastic one, fixed before the first step. A classic run is the
+// elastic loop with one column per rank: the column id is the rank, the
+// per-column accumulators are never filled, and the reducers and divisor
+// are the world-size ones, so its weights, losses and clocks are those of
+// ring-reduced data parallelism.
+type rankPlan struct {
+	// lo and hi bound the sample columns this rank computes, [lo, hi);
+	// lo == hi on an idle rank (world larger than the global batch).
+	lo, hi int
+	// reducer sums gradients across ranks through the exchange session;
+	// nil under EASGD, which has no per-step exchange.
+	reducer horovod.Reducer
+	// reduceLoss sums the per-rank loss in place; nil under EASGD, whose
+	// history records rank 0's local column mean.
+	reduceLoss func(c *mpi.Comm, buf []float32)
+	// divisor turns the reduced gradient and loss sums into means.
+	divisor int
+}
+
+// planRank computes rank's plan for the run; cfg.Fabric is resolved.
+func planRank(cfg Config, rank int) rankPlan {
+	gb := cfg.GlobalBatch
+	if gb == 0 {
+		return rankPlan{
+			lo:         rank,
+			hi:         rank + 1,
+			reducer:    reducerFor(cfg, cfg.Fabric),
+			reduceLoss: func(c *mpi.Comm, buf []float32) { c.Allreduce(buf, mpi.Ring) },
+			divisor:    cfg.Ranks,
+		}
+	}
+	lo, hi := models.ShardColumns(gb, cfg.Ranks, rank)
+	if cfg.Churn.Mode == ChurnEASGD {
+		// Each worker averages its own columns only.
+		return rankPlan{lo: lo, hi: hi, divisor: max(hi-lo, 1)}
+	}
+	// The canonical tree's summation order depends only on which COLUMNS
+	// exist, never on how many ranks carry them. Idle ranks are masked out
+	// of the tree but still receive the broadcast sums, so they apply the
+	// identical optimizer update. Gradient and loss both average over the
+	// global batch: the gradient is a property of the columns.
+	ct := &allreduce.CanonicalTree{ActiveRanks: min(gb, cfg.Ranks)}
+	return rankPlan{lo: lo, hi: hi, reducer: ct, reduceLoss: ct.Reduce, divisor: gb}
+}
+
+// trainRank is one rank's run: every step computes the rank's sample
+// columns, exchanges gradients (or, under EASGD, synchronizes through the
+// elastic center every Period steps), applies the optimizer, and records
+// the mean loss.
 func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 	resume *models.TrainState, res *Result, resMu *sync.Mutex) error {
+
+	if cfg.StartClock > 0 {
+		c.Advance(cfg.StartClock)
+	}
+	plan := planRank(cfg, c.Rank())
+	k := plan.hi - plan.lo // this rank's column count (0 = idle)
+	easgdMode := cfg.Churn.Mode == ChurnEASGD
+	ff, _ := cfg.Fabric.(*simnet.FaultFabric)
 
 	net, err := cfg.BuildNet()
 	if err != nil {
@@ -541,20 +563,14 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		paramIndex[p] = i
 	}
 
-	fabric := cfg.Fabric
-	if fabric == nil {
-		fabric = simnet.Loopback(cfg.Ranks)
-	}
-	hvd := cfg.Horovod
-	if cfg.FusionBufferBytes > 0 {
-		hvd.FusionBufferBytes = cfg.FusionBufferBytes
-	}
-	sess := horovod.NewSession(c, reducerFor(cfg, fabric), hvd)
-	defer sess.Close()
-
-	bucketed := cfg.Exchange != ExchangeLegacy
-	overlapped := cfg.Exchange == ExchangeOverlap
-	if bucketed {
+	var sess *horovod.Session
+	if plan.reducer != nil {
+		hvd := cfg.Horovod
+		if cfg.FusionBufferBytes > 0 {
+			hvd.FusionBufferBytes = cfg.FusionBufferBytes
+		}
+		sess = horovod.NewSession(c, plan.reducer, hvd)
+		defer sess.Close()
 		// The fusion-bucket plan is fixed up front from the parameter
 		// shapes: identical on every rank, every step, and across the
 		// serial/overlapped drivers — which is what pins the fused
@@ -565,6 +581,7 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		}
 		sess.PlanBuckets(sizes)
 	}
+	overlapped := cfg.Exchange == ExchangeOverlap && sess != nil
 
 	var base opt.Optimizer
 	switch cfg.Optimizer {
@@ -585,7 +602,6 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 	scaler := &hpfloat.LossScaler{Scale: cfg.LossScale, GrowthInterval: 0}
 
 	startStep := 0
-	var cursor uint64
 	if resume != nil {
 		// The optimizer composition (Lag→[LARC→]base) is rebuilt from the
 		// same configuration, so the state tree reattaches kind by kind;
@@ -603,43 +619,46 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 			scaler.RestoreState(*resume.Scaler)
 		}
 		startStep = int(resume.Step)
-		cursor = resume.Cursors[c.Rank()]
 	}
 
-	// Rank-local data shard: independent deterministic draws, as staged
-	// data. The bucketed modes generate samples on a per-rank prefetcher
+	// One prefetcher per owned column, generating samples on its own
 	// goroutine (double-buffered, bounded) so data generation overlaps the
-	// training step; the legacy mode keeps the inline draw. Both consume
-	// the identical per-(seed, rank) index stream.
+	// training step. Column c replays the deterministic index stream of
+	// (seed, c), so the global sample sequence is a property of the global
+	// batch alone and survives every resharding.
 	trainIdx := cfg.Dataset.Indices(climate.Train)
 	if len(trainIdx) == 0 {
 		return fmt.Errorf("core: dataset has no training samples")
 	}
-	var pf *climate.Prefetcher
-	var nextIdx func() int
-	if bucketed {
-		pf = climate.NewPrefetcherAt(cfg.Dataset, trainIdx, cfg.Seed, c.Rank(), 2, cursor)
+	pfs := make([]*climate.Prefetcher, k)
+	for j := range pfs {
+		col := plan.lo + j
+		var cursor uint64
+		if resume != nil {
+			cursor = resume.Cursors[col]
+		}
+		pf := climate.NewPrefetcherAt(cfg.Dataset, trainIdx, cfg.Seed, col, 2, cursor)
 		defer pf.Stop()
-	} else {
-		nextIdx = climate.NewIndexStreamAt(trainIdx, cfg.Seed, c.Rank(), cursor)
+		pfs[j] = pf
 	}
 
 	// Per-rank persistent workspace: one pool, one reusing executor, and
 	// one set of feed tensors live across every step of the run (and the
-	// validation passes), instead of being reallocated per step. When the
-	// rank retires, per-op kernel caches (index maps, saved statistics,
-	// masks) are dropped so the returned model does not pin them.
-	rw := newRankWorkspace(net, cfg.Workspace)
+	// validation passes). When the rank retires, per-op kernel caches
+	// (index maps, saved statistics, masks) are dropped so the returned
+	// model does not pin them.
+	rw := newRankWorkspace(net)
 	rw.initExchange(len(params))
 	defer graph.ReleaseOpCaches(net.Graph)
 
+	acc := newGradAccum(params)
+	var lossAcc scalarAccum
+
 	// Only a context that can actually be cancelled pays for cancellation
-	// plumbing; context.Background() (Done() == nil) costs nothing. In the
-	// bucketed modes the vote is folded into the gradient exchange (the
-	// first bucket's flag slot) instead of a dedicated collective — every
-	// step saves one blocking all-reduce, at the cost that a cancellation
-	// is acted on at the end of the step whose exchange carried the vote
-	// (up to one extra step of compute vs the legacy upfront check).
+	// plumbing; context.Background() (Done() == nil) costs nothing. The
+	// vote rides the exchange's step flag (the first bucket's flag slot),
+	// so a cancellation is acted on at the end of the step whose exchange
+	// carried it.
 	cancellable := cfg.Ctx != nil && cfg.Ctx.Done() != nil
 
 	skipped := 0
@@ -666,6 +685,28 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		valRecords = append(valRecords, resume.ValHistory...)
 	}
 
+	// EASGD churn state: a replicated center variable, per-param scratch
+	// for checkpoint swaps, and one allreduce buffer sized for the largest
+	// parameter. The center seeds from the (possibly restored) weights.
+	var center, centerScratch [][]float32
+	var syncBuf []float32
+	alpha := float32(cfg.LR * cfg.Churn.Rho)
+	if easgdMode {
+		center = make([][]float32, len(params))
+		maxN := 0
+		for i, p := range params {
+			center[i] = append([]float32(nil), p.Value.Data()...)
+			maxN = max(maxN, p.Shape.NumElements())
+		}
+		syncBuf = make([]float32, maxN)
+		if snap != nil {
+			centerScratch = make([][]float32, len(params))
+			for i, p := range params {
+				centerScratch[i] = make([]float32, p.Shape.NumElements())
+			}
+		}
+	}
+
 	overlapSum := 0.0
 	recordFinal := func() {
 		if c.Rank() != 0 {
@@ -673,8 +714,10 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		}
 		resMu.Lock()
 		res.SkippedSteps = skipped
-		res.CtlStats = sess.Stats()
-		res.PoolStats = rw.poolStats()
+		if sess != nil {
+			res.CtlStats = sess.Stats()
+		}
+		res.PoolStats = rw.pool.Stats()
 		if n := len(res.History); n > 0 {
 			res.OverlapFrac = overlapSum / float64(n)
 		}
@@ -685,113 +728,176 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		}
 		resMu.Unlock()
 	}
-	exitCancelled := func() error {
+	// exitCollective ends the run at a step boundary every rank reached
+	// together: cause == nil means cancellation, otherwise the collective
+	// failure (ErrNodeFailed). A failed snapshot write outranks both: an
+	// operator who asked for checkpoints must hear about a stale checkpoint
+	// directory now, not at recovery time.
+	exitCollective := func(cause error) error {
 		recordFinal()
-		// A failed snapshot write outranks the clean-cancel exit: an
-		// operator who asked for checkpoints must hear about a stale
-		// checkpoint directory now, not at recovery time.
 		if snap != nil {
-			if _, _, err := snap.stop(); err != nil {
-				return err
+			if _, _, serr := snap.stop(); serr != nil {
+				return serr
 			}
 		}
-		if err := cfg.Ctx.Err(); err != nil {
-			return err
+		if cause != nil {
+			return cause
+		}
+		if cfg.Ctx != nil {
+			if err := cfg.Ctx.Err(); err != nil {
+				return err
+			}
 		}
 		return context.Canceled
 	}
 
-	// The gradient hook is installed once: the overlapped mode hands each
-	// finished gradient straight to the exchange goroutine (reduction of
-	// earlier buckets proceeds while backward still differentiates later
-	// layers); the synchronous modes record the readiness order for the
-	// post-backward exchange.
-	var onGrad func(p *graph.Node, g *tensor.Tensor)
-	if overlapped {
-		onGrad = func(p *graph.Node, g *tensor.Tensor) {
-			id := paramIndex[p]
-			rw.gradBufs[id] = g.Data()
-			rw.pushed[id] = true
-			sess.Push(horovod.TensorID(id), g.Data())
+	// The gradient hook is installed once and serves every column: earlier
+	// columns only record what backward produced (the set is folded into
+	// the accumulator after backward); the final column folds the
+	// accumulated partial sums into its live gradients and hands them to
+	// the exchange — straight to the exchange goroutine when overlapped, so
+	// reduction of earlier buckets proceeds while backward still
+	// differentiates later layers, or into the readiness order for the
+	// post-backward serial exchange.
+	finalMB := false
+	onGrad := func(p *graph.Node, g *tensor.Tensor) {
+		id := paramIndex[p]
+		d := g.Data()
+		rw.gradBufs[id] = d
+		rw.pushed[id] = true
+		if !finalMB {
+			return
 		}
-	} else {
-		onGrad = func(p *graph.Node, g *tensor.Tensor) {
-			id := paramIndex[p]
-			rw.gradBufs[id] = g.Data()
-			rw.pushed[id] = true
+		acc.foldInto(id, d)
+		if easgdMode {
+			return
+		}
+		if overlapped {
+			sess.Push(horovod.TensorID(id), d)
+		} else {
 			rw.readyOrder = append(rw.readyOrder, horovod.TensorID(id))
 		}
 	}
 
 	for step := startStep; step < cfg.Steps; step++ {
-		if !bucketed && cancellable {
-			// Legacy path: the dedicated cancellation collective the
-			// bucketed modes fold into the exchange.
-			flag := rw.lossBuf[:1]
-			flag[0] = 0
-			if cfg.Ctx.Err() != nil {
-				flag[0] = 1
-			}
-			c.Allreduce(flag, mpi.Ring)
-			if flag[0] > 0 {
-				return exitCancelled()
-			}
-		}
 		if cfg.LRSchedule != nil {
 			optimizer.SetLR(cfg.LRSchedule(step))
 		}
 
-		var sample *climate.Sample
-		if pf != nil {
-			sample = pf.Next()
-		} else {
-			sample = cfg.Dataset.Sample(nextIdx())
-		}
-		feeds, err := rw.feedsForSample(net, sample, classWeights, cfg.Channels)
-		if err != nil {
-			return err
-		}
-		if pf != nil {
-			pf.Recycle(sample)
-		}
-
-		ex := rw.stepExecutor(cfg.Precision, cfg.Seed+int64(step)*31+int64(c.Rank()))
-		if cfg.Precision == graph.FP16 {
-			ex.SetLossScale(scaler.Scale)
-		}
-
+		// This rank's step-flag vote: 1 to cancel, failFlagVote when its
+		// node has failed.
 		flag := float32(0)
 		if cancellable && cfg.Ctx.Err() != nil {
 			flag = 1
 		}
+		if ff != nil && ff.FailedAsOf(c.Rank(), step) {
+			flag = failFlagVote
+		}
+
+		if easgdMode {
+			// EASGD has no per-step exchange to fold the vote into, so the
+			// control plane is a dedicated 1-element collective — the price
+			// of detecting churn and cancellation at every boundary.
+			rw.lossBuf[0] = flag
+			c.Allreduce(rw.lossBuf[:1], mpi.Ring)
+			if fs := rw.lossBuf[0]; fs >= failFlagVote {
+				return exitCollective(ErrNodeFailed)
+			} else if fs > 0 {
+				return exitCollective(nil)
+			}
+		}
+
+		acc.reset()
+		lossAcc.reset()
+		finalLoss := float32(0)
 		rw.readyOrder = rw.readyOrder[:0]
-		for i := range rw.pushed {
-			rw.pushed[i] = false
-		}
-		if overlapped {
-			// From here until Wait the comm belongs to the exchange
-			// goroutine; this goroutine only computes. The step's virtual
-			// compute time is charged along the backward timeline inside
-			// the exchange, so virtual step cost is max(compute, staggered
-			// comm) — the overlap the paper hides its all-reduces behind —
-			// instead of their sum.
-			sess.BeginStep(flag, cfg.StepComputeSeconds)
-		}
-		ex.OnParamGrad = onGrad
 
-		if err := ex.Forward(feeds); err != nil {
-			return err
-		}
-		stepLoss := float64(ex.Value(net.Loss).Data()[0])
-		if err := ex.Backward(net.Loss); err != nil {
-			return err
+		for j := 0; j < k; j++ {
+			col := plan.lo + j
+			finalMB = j == k-1
+
+			sample := pfs[j].Next()
+			feeds, err := rw.feedsForSample(net, sample, classWeights, cfg.Channels)
+			if err != nil {
+				return err
+			}
+			pfs[j].Recycle(sample)
+
+			// The executor seed is a column property, so per-sample
+			// scheduling randomization is world-size invariant.
+			ex := rw.stepExecutor(cfg.Precision, cfg.Seed+int64(step)*31+int64(col))
+			if cfg.Precision == graph.FP16 {
+				ex.SetLossScale(scaler.Scale)
+			}
+			if finalMB && overlapped {
+				// From here until Wait the comm belongs to the exchange
+				// goroutine; this goroutine only computes. Earlier columns'
+				// compute is charged before it takes the comm; the final
+				// column's rides the backward timeline inside the exchange,
+				// so its virtual cost is max(compute, staggered comm) — the
+				// overlap the paper hides its all-reduces behind — instead
+				// of their sum.
+				if cfg.StepComputeSeconds > 0 && k > 1 {
+					c.Advance(float64(k-1) * cfg.StepComputeSeconds)
+				}
+				sess.BeginStep(flag, cfg.StepComputeSeconds)
+			}
+			for i := range rw.pushed {
+				rw.pushed[i] = false
+			}
+			ex.OnParamGrad = onGrad
+
+			if err := ex.Forward(feeds); err != nil {
+				return err
+			}
+			mbLoss := ex.Value(net.Loss).Data()[0]
+			if err := ex.Backward(net.Loss); err != nil {
+				return err
+			}
+			if finalMB {
+				finalLoss = mbLoss
+			} else {
+				lossAcc.add(mbLoss)
+			}
+
+			// Missing gradients (possible under extreme FP16 underflow) still
+			// need collective participation: substitute pooled zeros, in
+			// every column, so the summation structure never depends on
+			// which columns produced them.
+			for i := range params {
+				if rw.pushed[i] {
+					continue
+				}
+				z := rw.zeroGrad(i, params[i].Shape.NumElements())
+				rw.gradBufs[i] = z
+				if !finalMB {
+					continue
+				}
+				acc.foldInto(i, z)
+				if easgdMode {
+					continue
+				}
+				if overlapped {
+					sess.Push(horovod.TensorID(i), z)
+				} else {
+					rw.readyOrder = append(rw.readyOrder, horovod.TensorID(i))
+				}
+			}
+			if !finalMB {
+				acc.add(rw.gradBufs)
+			}
 		}
 
-		// Missing gradients (possible under extreme FP16 underflow) still
-		// need collective participation: substitute pooled zeros reused
-		// across steps.
-		for i := range params {
-			if !rw.pushed[i] {
+		if sess != nil && k == 0 {
+			// Idle rank (world larger than the global batch): no compute,
+			// but full participation in the exchange protocol with zero
+			// contributions — the canonical tree masks them out and the
+			// broadcast brings back the true sums, so the idle rank applies
+			// the identical optimizer update and stays a hot spare.
+			if overlapped {
+				sess.BeginStep(flag, 0)
+			}
+			for i := range params {
 				z := rw.zeroGrad(i, params[i].Shape.NumElements())
 				rw.gradBufs[i] = z
 				if overlapped {
@@ -802,36 +908,38 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 			}
 		}
 
-		var flagSum float32
 		overlapFrac := 0.0
-		switch {
-		case overlapped:
-			flagSum = sess.Wait()
-			overlapFrac = sess.LastOverlap()
-		case bucketed:
-			if cfg.StepComputeSeconds > 0 {
-				c.Advance(cfg.StepComputeSeconds)
+		if sess != nil {
+			var flagSum float32
+			if overlapped {
+				flagSum = sess.Wait()
+				overlapFrac = sess.LastOverlap()
+			} else {
+				if cfg.StepComputeSeconds > 0 && k > 0 {
+					c.Advance(float64(k) * cfg.StepComputeSeconds)
+				}
+				flagSum = sess.Exchange(rw.readyOrder, rw.gradBufs, flag)
 			}
-			flagSum = sess.Exchange(rw.readyOrder, rw.gradBufs, flag)
-		default:
-			if cfg.StepComputeSeconds > 0 {
-				c.Advance(cfg.StepComputeSeconds)
+			if flagSum >= failFlagVote {
+				// A node failed. The exchange above drained the step on
+				// every rank; the half-applied step is discarded (no
+				// optimizer update, no history entry) so the restart resumes
+				// from a boundary every survivor agrees on.
+				return exitCollective(ErrNodeFailed)
 			}
-			for i := range params {
-				rw.gradMap[horovod.TensorID(i)] = rw.gradBufs[i]
+			if flagSum > 0 {
+				// Some rank voted to cancel; the reduced flag is identical
+				// everywhere, so every rank exits at this same boundary.
+				return exitCollective(nil)
 			}
-			sess.Step(rw.readyOrder, rw.gradMap)
-		}
-		if flagSum > 0 {
-			// Some rank voted to cancel; the reduced flag is identical
-			// everywhere, so every rank exits at this same boundary.
-			return exitCancelled()
+		} else if cfg.StepComputeSeconds > 0 && k > 0 {
+			c.Advance(float64(k) * cfg.StepComputeSeconds)
 		}
 
-		// Fused epilogue: average over ranks, remove the loss scale, and
-		// detect overflow in a single pass per gradient (the reduced values
-		// are identical on all ranks, so the decision is too).
-		factor := float32(1.0 / float64(c.Size()))
+		// Fused epilogue: average, remove the loss scale, and detect
+		// overflow in a single pass per gradient (the reduced values are
+		// identical on all ranks, so the decision is too).
+		factor := float32(1.0 / float64(plan.divisor))
 		if cfg.Precision == graph.FP16 {
 			factor *= float32(1 / scaler.Scale)
 		}
@@ -843,7 +951,11 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		}
 
 		apply := true
-		if cfg.Precision == graph.FP16 {
+		if easgdMode && k == 0 {
+			// A stationary EASGD worker holds no columns: nothing to apply,
+			// and its parameters only move at sync boundaries.
+			apply = false
+		} else if cfg.Precision == graph.FP16 {
 			apply = scaler.Update(overflow)
 		} else if overflow {
 			apply = false
@@ -857,18 +969,37 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 				}
 			}
 			optimizer.Step(rw.ps)
-		} else {
+		} else if !easgdMode || k > 0 {
 			skipped++
 		}
 
-		// Mean loss across ranks for the history (a real collective).
-		rw.lossBuf[0] = float32(stepLoss)
-		c.Allreduce(rw.lossBuf[:1], mpi.Ring)
-		meanLoss := float64(rw.lossBuf[0]) / float64(c.Size())
+		// EASGD synchronization: all-reduce the pre-sync worker parameters
+		// and apply the symmetric elastic update everywhere (the center is
+		// replicated, so no parameter server).
+		if easgdMode && (step+1)%cfg.Churn.Period == 0 {
+			for i, p := range params {
+				x := p.Value.Data()
+				buf := syncBuf[:len(x)]
+				copy(buf, x)
+				c.Allreduce(buf, mpi.Ring)
+				easgd.ElasticUpdate(x, center[i], buf, c.Size(), alpha)
+			}
+		}
+
+		// The recorded loss is a real collective: the local fold in
+		// column-tree order, then the plan's reduction across ranks, so it
+		// sums in exactly the order the gradients do. EASGD workers are only
+		// loosely coordinated between syncs, so the history records rank 0's
+		// local column mean.
+		rw.lossBuf[0] = lossAcc.fold(finalLoss)
+		if plan.reduceLoss != nil {
+			plan.reduceLoss(c, rw.lossBuf[:1])
+		}
+		meanLoss := float64(rw.lossBuf[0]) / float64(plan.divisor)
 
 		if c.Rank() == 0 {
 			overlapSum += overlapFrac
-			ps := rw.poolStats()
+			ps := rw.pool.Stats()
 			stat := StepStat{
 				Step:        step,
 				Loss:        meanLoss,
@@ -930,8 +1061,25 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		// world. The deep copy happens here; encoding and I/O happen on the
 		// writer goroutine.
 		if snap != nil && (step+1)%cfg.CheckpointEvery == 0 {
-			if err := snap.capture(uint64(step+1), cfg, net, optimizer, scaler, skipped,
-				histRecords, valRecords); err != nil {
+			if easgdMode {
+				// The center variable is the model under EASGD (workers are
+				// exploration around it), and the checkpoint cadence is
+				// validated to land on sync boundaries, where the center is
+				// freshly averaged. Swap it in for the capture.
+				for i, p := range params {
+					d := p.Value.Data()
+					copy(centerScratch[i], d)
+					copy(d, center[i])
+				}
+			}
+			err := snap.capture(uint64(step+1), cfg, net, optimizer, scaler, skipped,
+				histRecords, valRecords)
+			if easgdMode {
+				for i, p := range params {
+					copy(p.Value.Data(), centerScratch[i])
+				}
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -957,8 +1105,8 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		if c.Rank() == 0 {
 			resMu.Lock()
 			res.IoU = make([]float64, climate.NumClasses)
-			for k := 0; k < climate.NumClasses; k++ {
-				res.IoU[k] = cm.IoU(k)
+			for cls := 0; cls < climate.NumClasses; cls++ {
+				res.IoU[cls] = cm.IoU(cls)
 			}
 			res.MeanIoU = cm.MeanIoU()
 			res.Accuracy = cm.PixelAccuracy()
@@ -1008,9 +1156,7 @@ func validate(c *mpi.Comm, cfg Config, net *models.Network, classWeights []float
 
 // rankWorkspace is one rank's persistent execution memory: a buffer pool, a
 // reusing executor, and the feed tensors, all living across every step of
-// the run instead of being reallocated per step. Under WorkspaceFresh it
-// degenerates to the old step-fresh behavior (nil pool, new executor and
-// tensors each step).
+// the run instead of being reallocated per step.
 type rankWorkspace struct {
 	net  *models.Network
 	pool *tensor.Pool
@@ -1022,23 +1168,18 @@ type rankWorkspace struct {
 	// Exchange scratch, reused every step so the hot loop allocates
 	// nothing: this step's gradient buffers by parameter index, which of
 	// them the backward pass produced, pooled zero substitutes for the
-	// ones it didn't, the readiness order, the legacy Step's map view, the
-	// optimizer's parameter slice, and the 1-float collective buffer.
+	// ones it didn't, the readiness order, the optimizer's parameter slice,
+	// and the 1-float collective buffer.
 	gradBufs   [][]float32
 	pushed     []bool
 	zeroBufs   [][]float32
 	readyOrder []horovod.TensorID
-	gradMap    map[horovod.TensorID][]float32
 	ps         []opt.Param
 	lossBuf    []float32
 }
 
-func newRankWorkspace(net *models.Network, policy WorkspacePolicy) *rankWorkspace {
-	rw := &rankWorkspace{net: net}
-	if policy == WorkspacePooled {
-		rw.pool = tensor.NewPool()
-	}
-	return rw
+func newRankWorkspace(net *models.Network) *rankWorkspace {
+	return &rankWorkspace{net: net, pool: tensor.NewPool()}
 }
 
 // initExchange sizes the per-step exchange scratch for n parameters.
@@ -1047,7 +1188,6 @@ func (rw *rankWorkspace) initExchange(n int) {
 	rw.pushed = make([]bool, n)
 	rw.zeroBufs = make([][]float32, n)
 	rw.readyOrder = make([]horovod.TensorID, 0, n)
-	rw.gradMap = make(map[horovod.TensorID][]float32, n)
 	rw.ps = make([]opt.Param, n)
 	rw.lossBuf = make([]float32, 1)
 }
@@ -1059,24 +1199,16 @@ func (rw *rankWorkspace) initExchange(n int) {
 func (rw *rankWorkspace) zeroGrad(i, n int) []float32 {
 	buf := rw.zeroBufs[i]
 	if buf == nil {
-		if rw.pool != nil {
-			buf = rw.pool.GetF32(n)
-		} else {
-			buf = make([]float32, n)
-		}
+		buf = rw.pool.GetF32(n)
 		rw.zeroBufs[i] = buf
 	}
 	clear(buf)
 	return buf
 }
 
-// stepExecutor returns the rank's executor for one step: the persistent
-// pooled executor reseeded for per-step scheduling randomization, or a
-// fresh legacy executor under WorkspaceFresh.
+// stepExecutor returns the rank's persistent pooled executor, reseeded for
+// per-step scheduling randomization.
 func (rw *rankWorkspace) stepExecutor(p graph.Precision, seed int64) *graph.Executor {
-	if rw.pool == nil {
-		return graph.NewExecutor(rw.net.Graph, p, seed)
-	}
 	if rw.ex == nil {
 		rw.ex = graph.NewPooledExecutor(rw.net.Graph, p, seed, rw.pool)
 	} else {
@@ -1085,18 +1217,10 @@ func (rw *rankWorkspace) stepExecutor(p graph.Precision, seed int64) *graph.Exec
 	return rw.ex
 }
 
-// poolStats returns the rank's workspace counters (zero under fresh).
-func (rw *rankWorkspace) poolStats() tensor.PoolStats {
-	if rw.pool == nil {
-		return tensor.PoolStats{}
-	}
-	return rw.pool.Stats()
-}
-
 // feedsForSample converts a climate sample into executor feeds, replicating
 // the sample across the network's batch dimension and selecting channels.
-// Under the pooled policy the feed tensors (and the map) are filled in
-// place and reused across steps.
+// The feed tensors (and the map) are filled in place and reused across
+// steps.
 func (rw *rankWorkspace) feedsForSample(net *models.Network, s *climate.Sample, classWeights []float32, channels []int) (map[*graph.Node]*tensor.Tensor, error) {
 	fields := s.Fields
 	if channels != nil {
@@ -1108,7 +1232,7 @@ func (rw *rankWorkspace) feedsForSample(net *models.Network, s *climate.Sample, 
 	if fs[0] != ch || fs[1] != h || fs[2] != w {
 		return nil, fmt.Errorf("core: sample %v does not match network input %v", fs, is)
 	}
-	if rw.pool == nil || rw.images == nil {
+	if rw.images == nil {
 		rw.images = tensor.New(is)
 		rw.labels = tensor.New(tensor.Shape{batch, h, w})
 		rw.wmap = tensor.New(tensor.Shape{batch, h, w})

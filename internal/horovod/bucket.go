@@ -8,12 +8,12 @@ import (
 
 // Bucketed gradient exchange.
 //
-// The legacy Step path fuses whatever tensors happen to be complete at the
-// root, so the fused layout — and with it the floating-point summation
-// order — depends on arrival timing. The bucketed path instead fixes a
-// *plan*: tensors are partitioned once, in descending id order (matching
-// the back-to-front order backward passes produce gradients), into
-// size-capped fusion buckets. Every rank, every step, and both the serial
+// Fusing whatever tensors happen to be complete at the root would make the
+// fused layout — and with it the floating-point summation order — depend
+// on arrival timing. The exchange instead fixes a *plan*: tensors are
+// partitioned once, in descending id order (matching the back-to-front
+// order backward passes produce gradients), into size-capped fusion
+// buckets. Every rank, every step, and both the serial
 // (Exchange) and overlapped (BeginStep/Push/Wait) drivers reduce exactly
 // the same fused buffers, which makes overlapped training bit-identical to
 // serial training at FP32.
@@ -172,7 +172,7 @@ func (s *Session) localReady(id TensorID) {
 	}
 }
 
-// handleBucketCtl dispatches one bucketed-protocol control message.
+// handleBucketCtl dispatches one control message.
 func (s *Session) handleBucketCtl(m ctlMsg) {
 	switch m.kind {
 	case kindReadyOne:
@@ -184,8 +184,6 @@ func (s *Session) handleBucketCtl(m ctlMsg) {
 			s.sendCtlBoxed(c, s.execMsgs[m.bucket])
 		}
 		s.execBucket(m.bucket)
-	default:
-		panic("horovod: legacy control message during bucketed exchange")
 	}
 }
 

@@ -8,11 +8,16 @@
 // execution orders back down, bounding every rank's load at r+1 messages
 // per tensor. Both modes are implemented here — the flat control plane is
 // simply the tree with radix = worldSize−1.
+//
+// There is one exchange protocol (bucket.go): gradients fuse into
+// size-capped buckets planned once from the tensor shapes, readiness is
+// negotiated per tensor up the tree, and each bucket is reduced once every
+// rank has all its members. A serial driver (Exchange) and an overlapped
+// one (BeginStep/Push/Wait) run the same plan, so they reduce bit-identical
+// sums.
 package horovod
 
 import (
-	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/mpi"
@@ -28,17 +33,14 @@ type TensorID int
 type ctlKind int
 
 const (
-	kindReady ctlKind = iota
-	kindExec
-	kindReadyOne   // bucketed: one tensor became ready in this subtree
-	kindExecBucket // bucketed: execute the given fusion bucket
+	kindReadyOne   ctlKind = iota // one tensor became ready in this subtree
+	kindExecBucket                // execute the given fusion bucket
 )
 
+// ctlMsg carries one tensor id or one bucket index, so every message is
+// pre-boxed once and sending never allocates.
 type ctlMsg struct {
-	kind ctlKind
-	ids  []TensorID
-	// Bucketed-exchange fields (kindReadyOne / kindExecBucket): one tensor
-	// id or one bucket index, so these messages pre-box and never allocate.
+	kind   ctlKind
 	id     TensorID
 	bucket int
 }
@@ -49,24 +51,20 @@ type Config struct {
 	// insensitive for r in [2, 8]; radix = worldSize−1 degenerates to the
 	// original flat Horovod control plane.
 	Radix int
-	// FusionTensors caps how many completed tensors the coordinator fuses
-	// into one all-reduce batch (0 or 1 disables fusion) on the legacy Step
-	// path. The bucketed Exchange/streaming paths use FusionBufferBytes
-	// instead.
-	FusionTensors int
-	// FusionBufferBytes caps the fused payload of one exchange bucket for
-	// the bucketed paths (PlanBuckets). 0 takes DefaultFusionBufferBytes.
+	// FusionBufferBytes caps the fused payload of one exchange bucket
+	// (PlanBuckets). 0 takes DefaultFusionBufferBytes; any value below 4
+	// gives every tensor its own bucket.
 	FusionBufferBytes int
 }
 
 // Flat returns the stock-Horovod configuration for a given world size.
 func Flat(worldSize int) Config {
-	return Config{Radix: worldSize - 1, FusionTensors: 1}
+	return Config{Radix: worldSize - 1}
 }
 
 // Tree returns the paper's hierarchical configuration.
 func Tree(radix int) Config {
-	return Config{Radix: radix, FusionTensors: 4}
+	return Config{Radix: radix}
 }
 
 // Stats counts one rank's control-plane traffic.
@@ -89,11 +87,11 @@ type Reducer interface {
 	Name() string
 }
 
-// Session drives the negotiation protocol for one rank across steps. Two
-// exchange paths share it: the legacy Step (count-based fusion, synchronous)
-// and the bucketed path (PlanBuckets + Exchange or BeginStep/Push/Wait),
-// which fuses gradients into size-capped buckets whose layout — and
-// therefore summation order — is fixed by the plan, not by arrival timing.
+// Session drives the negotiation protocol for one rank across steps:
+// PlanBuckets fixes the fusion buckets once, then every step runs either
+// the serial Exchange or the overlapped BeginStep/Push/Wait. The bucket
+// layout — and therefore the summation order — is fixed by the plan, not
+// by arrival timing.
 type Session struct {
 	comm    *mpi.Comm
 	cfg     Config
@@ -105,7 +103,7 @@ type Session struct {
 	// used by tests to verify the total order is rank-invariant.
 	execOrder []TensorID
 
-	// Bucketed-exchange state (see bucket.go).
+	// Exchange state (see bucket.go).
 	plan      []bucket
 	bucketOf  []int
 	sizes     []int
@@ -145,7 +143,7 @@ func NewSession(c *mpi.Comm, reducer Reducer, cfg Config) *Session {
 // Stats returns cumulative control-plane statistics for this rank.
 func (s *Session) Stats() Stats { return s.stats }
 
-// ExecOrder returns the tensor execution order of the most recent Step.
+// ExecOrder returns the tensor execution order of the most recent step.
 func (s *Session) ExecOrder() []TensorID { return s.execOrder }
 
 func (s *Session) parent() int { return (s.comm.Rank() - 1) / s.cfg.Radix }
@@ -161,126 +159,10 @@ func (s *Session) children() []int {
 	return ch
 }
 
-func (s *Session) sendCtl(dst int, m ctlMsg) {
-	s.comm.SendMeta(dst, tagCtlBase+s.epoch%epochWindow, m)
-	s.stats.CtlSent++
-}
-
 func (s *Session) recvCtl() ctlMsg {
 	_, meta := s.comm.RecvMeta(mpi.AnySource, tagCtlBase+s.epoch%epochWindow)
 	s.stats.CtlReceived++
 	return meta.(ctlMsg)
-}
-
-// Step negotiates and executes the all-reduces for one training step.
-// readyOrder is the order this rank's backward pass produced gradients —
-// intentionally different on every rank; tensors maps each id to this
-// rank's gradient buffer. On return every buffer holds the global sum and
-// all ranks executed the reductions in an identical total order.
-func (s *Session) Step(readyOrder []TensorID, tensors map[TensorID][]float32) {
-	if len(readyOrder) != len(tensors) {
-		panic(fmt.Sprintf("horovod: %d ready ids for %d tensors", len(readyOrder), len(tensors)))
-	}
-	total := len(tensors)
-	children := s.children()
-	isRoot := s.comm.Rank() == 0
-	need := len(children) + 1 // own readiness + one aggregate per child
-
-	counts := make(map[TensorID]int, total)
-	var rootComplete []TensorID // root's completion order, pending batch
-	executed := 0
-	s.execOrder = s.execOrder[:0]
-
-	// handleComplete is invoked when a tensor has all `need` readiness
-	// marks at this rank: interior nodes forward up; the root queues it
-	// for an execution batch.
-	flushBatch := func(force bool) {
-		limit := s.cfg.FusionTensors
-		if limit < 1 {
-			limit = 1
-		}
-		for len(rootComplete) > 0 && (force || len(rootComplete) >= limit) {
-			n := min(limit, len(rootComplete))
-			batch := append([]TensorID(nil), rootComplete[:n]...)
-			rootComplete = rootComplete[n:]
-			for _, c := range children {
-				s.sendCtl(c, ctlMsg{kind: kindExec, ids: batch})
-			}
-			s.execBatch(batch, tensors)
-			executed += len(batch)
-		}
-	}
-	handleComplete := func(id TensorID) {
-		if isRoot {
-			rootComplete = append(rootComplete, id)
-			flushBatch(false)
-			return
-		}
-		s.sendCtl(s.parent(), ctlMsg{kind: kindReady, ids: []TensorID{id}})
-	}
-
-	// Mark own readiness in backward-production order.
-	for _, id := range readyOrder {
-		counts[id]++
-		if counts[id] == need {
-			handleComplete(id)
-		}
-	}
-
-	// Event loop: consume child readiness and parent execs until this rank
-	// has executed every tensor.
-	for executed < total {
-		if isRoot && executed+len(rootComplete) == total {
-			// Everything left is queued locally; flush regardless of
-			// fusion threshold.
-			flushBatch(true)
-			continue
-		}
-		m := s.recvCtl()
-		switch m.kind {
-		case kindReady:
-			for _, id := range m.ids {
-				counts[id]++
-				if counts[id] == need {
-					handleComplete(id)
-				}
-			}
-		case kindExec:
-			// Relay down the tree first (the paper's recursive broadcast),
-			// then initiate the collective.
-			for _, c := range children {
-				s.sendCtl(c, ctlMsg{kind: kindExec, ids: m.ids})
-			}
-			s.execBatch(m.ids, tensors)
-			executed += len(m.ids)
-		}
-	}
-	s.epoch++
-}
-
-// execBatch fuses the batch's tensors into one buffer, reduces, and
-// scatters results back (Horovod's fusion buffer).
-func (s *Session) execBatch(batch []TensorID, tensors map[TensorID][]float32) {
-	s.stats.Batches++
-	s.execOrder = append(s.execOrder, batch...)
-	if len(batch) == 1 {
-		s.reducer.Reduce(s.comm, tensors[batch[0]])
-		return
-	}
-	size := 0
-	for _, id := range batch {
-		size += len(tensors[id])
-	}
-	fused := make([]float32, 0, size)
-	for _, id := range batch {
-		fused = append(fused, tensors[id]...)
-	}
-	s.reducer.Reduce(s.comm, fused)
-	off := 0
-	for _, id := range batch {
-		n := copy(tensors[id], fused[off:off+len(tensors[id])])
-		off += n
-	}
 }
 
 // ControlLoad analytically computes the worst-case per-rank control-message
@@ -303,15 +185,4 @@ func ControlLoad(worldSize, radix, tensors int) (root, maxInterior int) {
 		maxInterior = root
 	}
 	return root, maxInterior
-}
-
-// SortedIDs returns the tensor ids of a map in ascending order (test and
-// diagnostic helper).
-func SortedIDs(tensors map[TensorID][]float32) []TensorID {
-	ids := make([]TensorID, 0, len(tensors))
-	for id := range tensors {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

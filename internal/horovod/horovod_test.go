@@ -2,7 +2,6 @@ package horovod
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -16,27 +15,17 @@ type plainRing struct{}
 func (plainRing) Reduce(c *mpi.Comm, data []float32) { c.Allreduce(data, mpi.Ring) }
 func (plainRing) Name() string                       { return "ring" }
 
-// runStep drives one negotiated step on n loopback ranks with per-rank
-// shuffled readiness orders, and returns per-rank stats plus exec orders.
+// runStep drives one negotiated step through PlanBuckets + Exchange on n
+// loopback ranks with per-rank shuffled readiness orders, and returns
+// per-rank stats plus exec orders. FusionBufferBytes: 1 gives every tensor
+// its own bucket — the unfused protocol.
 func runStep(t *testing.T, n, numTensors int, cfg Config) ([]Stats, [][]TensorID) {
 	t.Helper()
 	const elems = 8
-	// Global expected sums.
-	values := make([][][]float32, n) // [rank][tensor][elem]
-	expected := make([][]float32, numTensors)
-	for id := 0; id < numTensors; id++ {
-		expected[id] = make([]float32, elems)
-	}
-	for r := 0; r < n; r++ {
-		values[r] = make([][]float32, numTensors)
-		rng := rand.New(rand.NewSource(int64(r*999 + 7)))
-		for id := 0; id < numTensors; id++ {
-			values[r][id] = make([]float32, elems)
-			for e := range values[r][id] {
-				values[r][id][e] = float32(rng.Intn(10))
-				expected[id][e] += values[r][id][e]
-			}
-		}
+	values, expected := mkValues(n, numTensors, elems)
+	sizes := make([]int, numTensors)
+	for i := range sizes {
+		sizes[i] = elems
 	}
 
 	stats := make([]Stats, n)
@@ -46,26 +35,18 @@ func runStep(t *testing.T, n, numTensors int, cfg Config) ([]Stats, [][]TensorID
 	w := mpi.NewWorld(simnet.Loopback(n))
 	w.Run(func(c *mpi.Comm) {
 		sess := NewSession(c, plainRing{}, cfg)
+		sess.PlanBuckets(sizes)
 		// Every rank produces gradients in a different shuffled order —
 		// the TensorFlow dynamic-scheduler behaviour that motivates the
 		// coordinator.
-		rng := rand.New(rand.NewSource(int64(c.Rank()*31 + 5)))
-		ready := make([]TensorID, numTensors)
-		for i := range ready {
-			ready[i] = TensorID(i)
+		ready := shuffledReady(c.Rank(), numTensors)
+		tensors := make([][]float32, numTensors)
+		for id := range tensors {
+			tensors[id] = append([]float32(nil), values[c.Rank()][id]...)
 		}
-		rng.Shuffle(len(ready), func(i, j int) { ready[i], ready[j] = ready[j], ready[i] })
+		sess.Exchange(ready, tensors, 0)
 
-		tensors := make(map[TensorID][]float32, numTensors)
-		for id := 0; id < numTensors; id++ {
-			buf := make([]float32, elems)
-			copy(buf, values[c.Rank()][id])
-			tensors[TensorID(id)] = buf
-		}
-		sess.Step(ready, tensors)
-
-		for id := 0; id < numTensors; id++ {
-			got := tensors[TensorID(id)]
+		for id, got := range tensors {
 			for e := range got {
 				if math.Abs(float64(got[e]-expected[id][e])) > 1e-3 {
 					t.Errorf("rank %d tensor %d elem %d: %g want %g",
@@ -80,6 +61,15 @@ func runStep(t *testing.T, n, numTensors int, cfg Config) ([]Stats, [][]TensorID
 		mu.Unlock()
 	})
 	return stats, orders
+}
+
+// sequential returns the ready order 0..n-1.
+func sequential(n int) []TensorID {
+	ready := make([]TensorID, n)
+	for i := range ready {
+		ready[i] = TensorID(i)
+	}
+	return ready
 }
 
 func TestFlatControlPlaneCorrect(t *testing.T) {
@@ -116,7 +106,7 @@ func TestFlatCoordinatorIsHotspot(t *testing.T) {
 	// Flat mode: rank 0 handles Θ(N) control messages per tensor while
 	// others handle Θ(1) — the measured bottleneck.
 	const n, tensors = 12, 6
-	stats, _ := runStep(t, n, tensors, Config{Radix: n - 1, FusionTensors: 1})
+	stats, _ := runStep(t, n, tensors, Config{Radix: n - 1, FusionBufferBytes: 1})
 	root := stats[0].CtlSent + stats[0].CtlReceived
 	maxWorker := 0
 	for r := 1; r < n; r++ {
@@ -136,7 +126,7 @@ func TestFlatCoordinatorIsHotspot(t *testing.T) {
 func TestTreeBoundsPerRankLoad(t *testing.T) {
 	// Hierarchical mode: no rank exceeds ~(2r+2) messages per tensor.
 	const n, tensors, radix = 27, 8, 2
-	stats, _ := runStep(t, n, tensors, Config{Radix: radix, FusionTensors: 1})
+	stats, _ := runStep(t, n, tensors, Config{Radix: radix, FusionBufferBytes: 1})
 	bound := tensors * (2*radix + 2)
 	for r, s := range stats {
 		load := s.CtlSent + s.CtlReceived
@@ -148,8 +138,8 @@ func TestTreeBoundsPerRankLoad(t *testing.T) {
 
 func TestTreeReducesRootLoadVsFlat(t *testing.T) {
 	const n, tensors = 16, 10
-	flat, _ := runStep(t, n, tensors, Config{Radix: n - 1, FusionTensors: 1})
-	tree, _ := runStep(t, n, tensors, Config{Radix: 2, FusionTensors: 1})
+	flat, _ := runStep(t, n, tensors, Config{Radix: n - 1, FusionBufferBytes: 1})
+	tree, _ := runStep(t, n, tensors, Config{Radix: 2, FusionBufferBytes: 1})
 	flatRoot := flat[0].CtlSent + flat[0].CtlReceived
 	treeRoot := tree[0].CtlSent + tree[0].CtlReceived
 	t.Logf("root load: flat=%d tree(r=2)=%d (%.1fx reduction)",
@@ -161,8 +151,8 @@ func TestTreeReducesRootLoadVsFlat(t *testing.T) {
 
 func TestFusionReducesBatches(t *testing.T) {
 	const n, tensors = 6, 12
-	noFuse, _ := runStep(t, n, tensors, Config{Radix: 2, FusionTensors: 1})
-	fused, _ := runStep(t, n, tensors, Config{Radix: 2, FusionTensors: 6})
+	noFuse, _ := runStep(t, n, tensors, Config{Radix: 2, FusionBufferBytes: 1})
+	fused, _ := runStep(t, n, tensors, Config{Radix: 2})
 	t.Logf("batches: unfused=%d fused=%d", noFuse[0].Batches, fused[0].Batches)
 	if fused[0].Batches >= noFuse[0].Batches {
 		t.Fatalf("fusion did not reduce batches: %d vs %d",
@@ -176,24 +166,25 @@ func TestFusionReducesBatches(t *testing.T) {
 func TestMultipleStepsReuseSession(t *testing.T) {
 	// Epoch separation: back-to-back steps must not cross-contaminate.
 	const n, tensors, steps = 4, 5, 3
+	ones := make([]int, tensors)
+	for i := range ones {
+		ones[i] = 1
+	}
 	w := mpi.NewWorld(simnet.Loopback(n))
 	w.Run(func(c *mpi.Comm) {
-		sess := NewSession(c, plainRing{}, Tree(2))
+		sess := NewSession(c, plainRing{}, Config{Radix: 2, FusionBufferBytes: 1})
+		sess.PlanBuckets(ones)
 		for step := 0; step < steps; step++ {
-			ready := make([]TensorID, tensors)
-			for i := range ready {
-				ready[i] = TensorID(i)
+			tens := make([][]float32, tensors)
+			for i := range tens {
+				tens[i] = []float32{float32(step + 1)}
 			}
-			tens := make(map[TensorID][]float32)
-			for i := 0; i < tensors; i++ {
-				tens[TensorID(i)] = []float32{float32(step + 1)}
-			}
-			sess.Step(ready, tens)
+			sess.Exchange(sequential(tensors), tens, 0)
 			want := float32((step + 1) * n)
-			for i := 0; i < tensors; i++ {
-				if tens[TensorID(i)][0] != want {
+			for i := range tens {
+				if tens[i][0] != want {
 					t.Errorf("step %d tensor %d = %g want %g",
-						step, i, tens[TensorID(i)][0], want)
+						step, i, tens[i][0], want)
 					return
 				}
 			}
@@ -231,15 +222,14 @@ func TestRadixInsensitivityInRange(t *testing.T) {
 		w := mpi.NewWorld(simnet.Loopback(n))
 		makespan := w.Run(func(c *mpi.Comm) {
 			sess := NewSession(c, plainRing{}, Tree(radix))
-			ready := make([]TensorID, tensors)
-			for i := range ready {
-				ready[i] = TensorID(i)
+			sizes := make([]int, tensors)
+			tens := make([][]float32, tensors)
+			for i := range tens {
+				sizes[i] = elems
+				tens[i] = make([]float32, elems)
 			}
-			tens := make(map[TensorID][]float32)
-			for i := 0; i < tensors; i++ {
-				tens[TensorID(i)] = make([]float32, elems)
-			}
-			sess.Step(ready, tens)
+			sess.PlanBuckets(sizes)
+			sess.Exchange(sequential(tensors), tens, 0)
 		})
 		times[radix] = makespan
 	}
@@ -250,12 +240,4 @@ func TestRadixInsensitivityInRange(t *testing.T) {
 		}
 	}
 	t.Logf("makespans by radix: %v", times)
-}
-
-func TestSortedIDs(t *testing.T) {
-	m := map[TensorID][]float32{3: nil, 1: nil, 2: nil}
-	ids := SortedIDs(m)
-	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
-		t.Fatalf("SortedIDs = %v", ids)
-	}
 }
