@@ -1138,8 +1138,12 @@ func BenchmarkServing(b *testing.B) {
 // (same topology, different dropout seeds — weights are what matter).
 func copyWeights(b *testing.B, src *models.Network, dst *exaclim.Model) {
 	b.Helper()
+	params, err := models.CaptureParamsInto(src.Graph, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ckpt := filepath.Join(b.TempDir(), "serving.ckpt")
-	if err := models.SaveParamsFile(ckpt, src.Graph); err != nil {
+	if err := models.SaveSnapshotFile(ckpt, &models.TrainState{Params: params}); err != nil {
 		b.Fatal(err)
 	}
 	if err := dst.LoadCheckpoint(ckpt); err != nil {

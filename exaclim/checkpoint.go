@@ -50,7 +50,9 @@ type CheckpointInfo struct {
 	// Step is the training step the snapshot was taken at.
 	Step uint64
 	// Ranks is the world size that wrote the snapshot. With
-	// WithElasticResume a run may resume it at any world size.
+	// WithElasticResume a run may resume it at any world size. Zero means
+	// a weights-only checkpoint (Model.SaveCheckpoint): it serves and
+	// warm-starts, but cannot be resumed.
 	Ranks int
 	// GlobalBatch is the number of data columns (samples per step) the
 	// trajectory is defined over. Legacy snapshots report their rank count

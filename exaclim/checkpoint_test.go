@@ -174,3 +174,133 @@ func TestResumeRejectsRankMismatch(t *testing.T) {
 		t.Fatal("resume at a different rank count must fail")
 	}
 }
+
+// trainTiny runs a short single-rank experiment with no checkpointing and
+// returns its trained model.
+func trainTiny(t *testing.T, seed int64, extra ...Option) *Result {
+	t.Helper()
+	exp, err := New(append([]Option{
+		WithNetwork("tiramisu", Tiny),
+		WithSyntheticData(16, 16, 16, 9),
+		WithRanks(1, 1),
+		WithSeed(seed),
+		WithSteps(3),
+		WithValidation(0),
+	}, extra...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := exp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestWeightsOnlyCheckpointInspectsAndSwaps: Model.SaveCheckpoint writes a
+// snapshot InspectCheckpoint accepts as step 0 on zero ranks, and a fleet
+// serving other weights rolls it in as version 1 with the saved model's
+// masks.
+func TestWeightsOnlyCheckpointInspectsAndSwaps(t *testing.T) {
+	saved := trainTiny(t, 4).Model
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := saved.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	info, err := InspectCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Step != 0 || info.Ranks != 0 || info.GlobalBatch != 0 || info.Compacted {
+		t.Fatalf("weights-only checkpoint metadata: %+v", info)
+	}
+
+	f, err := NewFleet(trainTiny(t, 5).Model, WithShards(2), WithFleetMaxBatch(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.SwapCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	fields := SyntheticDataset(32, 32, 1, 7).Sample(0).Fields
+	got, stat, err := f.Segment(context.Background(), fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stat.Version != 1 || stat.Step != 0 {
+		t.Fatalf("post-swap request served by version %d step %d, want version 1 step 0", stat.Version, stat.Step)
+	}
+	want, err := saved.Segment(fields, SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range want.Data() {
+		if got.Data()[i] != v {
+			t.Fatalf("swapped-in fleet mask diverges from the saved model at pixel %d", i)
+		}
+	}
+}
+
+// TestInitCheckpointFromSnapshotDir: WithInitCheckpoint accepts a
+// WithCheckpointEvery directory and warm-starts from its latest snapshot's
+// weights at step 0 — the same trajectory as warm-starting from a
+// weights-only checkpoint of those weights.
+func TestInitCheckpointFromSnapshotDir(t *testing.T) {
+	dir := t.TempDir()
+	exp, err := New(append(ckptBase(dir), WithSteps(3), WithValidation(0))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := exp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := src.Model.SaveCheckpoint(weights); err != nil {
+		t.Fatal(err)
+	}
+
+	fromDir := trainTiny(t, 6, WithInitCheckpoint(dir))
+	fromFile := trainTiny(t, 6, WithInitCheckpoint(weights))
+	cold := trainTiny(t, 6)
+	if fromDir.StartStep != 0 || len(fromDir.History) != 3 {
+		t.Fatalf("warm start: start step %d, %d steps", fromDir.StartStep, len(fromDir.History))
+	}
+	for i, s := range fromDir.History {
+		if s.Loss != fromFile.History[i].Loss {
+			t.Fatalf("step %d loss %g, weights-only warm start %g", s.Step, s.Loss, fromFile.History[i].Loss)
+		}
+	}
+	if fromDir.History[0].Loss == cold.History[0].Loss {
+		t.Fatal("warm start from the directory trained like a cold start")
+	}
+}
+
+// TestResumeRefusesWeightsOnlyCheckpoint: a weights-only checkpoint has no
+// ranks, cursors or optimizer state, so neither resume path accepts it —
+// both fail typed before any step runs.
+func TestResumeRefusesWeightsOnlyCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := trainTiny(t, 4).Model.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	for name, resume := range map[string]Option{
+		"resume":  WithResume(path),
+		"elastic": WithElasticResume(path),
+	} {
+		steps := 0
+		exp, err := New(WithNetwork("tiramisu", Tiny), WithSyntheticData(16, 16, 16, 9),
+			WithRanks(1, 1), WithSeed(4), WithSteps(3), WithValidation(0), resume,
+			WithObserver(ObserverFuncs{Step: func(StepStat) { steps++ }}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exp.Run(context.Background()); !errors.Is(err, ErrCheckpointRankMismatch) {
+			t.Fatalf("%s: got %v, want ErrCheckpointRankMismatch", name, err)
+		}
+		if steps != 0 {
+			t.Fatalf("%s: %d steps ran before the refusal", name, steps)
+		}
+	}
+}

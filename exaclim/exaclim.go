@@ -204,7 +204,7 @@ func New(opts ...Option) (*Experiment, error) {
 			return nil, err
 		}
 		if o.initCkpt != "" {
-			if err := models.LoadParamsFile(o.initCkpt, net.Graph); err != nil {
+			if err := loadWeights(o.initCkpt, net.Graph); err != nil {
 				return nil, err
 			}
 		}
@@ -495,22 +495,44 @@ func (m *Model) InputSize() (h, w int) {
 	return m.net.Images.Shape[2], m.net.Images.Shape[3]
 }
 
-// SaveCheckpoint writes the model's parameters to path in the label+shape-
-// matched checkpoint format.
+// SaveCheckpoint writes the model's parameters to path as a weights-only
+// checkpoint: a CRC-guarded training snapshot (the format WithCheckpointEvery
+// writes) carrying the weights and nothing else — step 0, zero ranks, no
+// optimizer or data-stream state. InspectCheckpoint, LoadCheckpoint,
+// WithInitCheckpoint and Fleet.SwapCheckpoint all read it; WithResume
+// refuses it with ErrCheckpointRankMismatch, since there is no run to
+// continue.
 func (m *Model) SaveCheckpoint(path string) error {
-	return models.SaveParamsFile(path, m.net.Graph)
+	params, err := models.CaptureParamsInto(m.net.Graph, nil)
+	if err != nil {
+		return err
+	}
+	return models.SaveSnapshotFile(path, &models.TrainState{Params: params})
 }
 
-// LoadCheckpoint restores parameters saved by SaveCheckpoint into this
-// model; labels and shapes must match. Any cached inference engine is
-// dropped, so later Segment calls see the restored weights even if the
-// load replaced parameter tensors. Do not call while a Server built from
-// this model is running.
+// LoadCheckpoint restores the weights of the snapshot at path into this
+// model: a weights-only checkpoint from SaveCheckpoint, a full training
+// snapshot, or a checkpoint directory (its latest committed snapshot).
+// Labels and shapes must match; an untrustworthy file fails with the typed
+// ErrCheckpoint* errors and leaves the weights untouched. Any cached
+// inference engine is dropped, so later Segment calls see the restored
+// weights even if the load replaced parameter tensors. Do not call while a
+// Server built from this model is running.
 func (m *Model) LoadCheckpoint(path string) error {
 	m.mu.Lock()
 	m.invalidateLocked()
 	m.mu.Unlock()
-	return models.LoadParamsFile(path, m.net.Graph)
+	return loadWeights(path, m.net.Graph)
+}
+
+// loadWeights reads and verifies the snapshot at path (a file or a
+// checkpoint directory) and restores its weights into g by label and shape.
+func loadWeights(path string, g *graph.Graph) error {
+	st, err := models.LoadSnapshotFile(path)
+	if err != nil {
+		return err
+	}
+	return models.RestoreParams(g, st.Params)
 }
 
 // invalidateLocked drops the cached adapter and engine (caller holds mu).

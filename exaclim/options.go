@@ -438,12 +438,14 @@ func WithObserver(obs Observer) Option {
 	}
 }
 
-// WithInitCheckpoint initializes every rank's replica from a weights-only
-// checkpoint written by Model.SaveCheckpoint before training starts. This
-// is warm-starting, not resumption: optimizer moments, the FP16 loss
-// scaler, the data-stream cursors, and the step counter all start fresh.
-// To continue an interrupted run exactly, use WithResume with a full-state
-// snapshot from WithCheckpointEvery instead.
+// WithInitCheckpoint initializes every rank's replica before training
+// starts from the weights of a snapshot: a weights-only checkpoint written
+// by Model.SaveCheckpoint, a full snapshot from WithCheckpointEvery, or a
+// checkpoint directory (its latest committed snapshot). This is
+// warm-starting, not resumption: only the weights are taken, and optimizer
+// moments, the FP16 loss scaler, the data-stream cursors, and the step
+// counter all start fresh. To continue an interrupted run exactly, use
+// WithResume with a full-state snapshot instead.
 func WithInitCheckpoint(path string) Option {
 	return func(o *options) { o.initCkpt = path }
 }

@@ -13,7 +13,9 @@
 //     snapshot;
 //  4. a deliberately corrupted snapshot shows the typed-error guardrails;
 //  5. the weights-only Model.SaveCheckpoint path still serves the
-//     ship-to-inference use case (label+shape-matched restore).
+//     ship-to-inference use case: the file is a snapshot holding only the
+//     weights, which InspectCheckpoint verifies, and the restore is
+//     label+shape matched.
 package main
 
 import (
@@ -133,6 +135,15 @@ func main() {
 	wpath := filepath.Join(dirB, "weights.ckpt")
 	if err := r3.Model.SaveCheckpoint(wpath); err != nil {
 		log.Fatal(err)
+	}
+	winfo, err := exaclim.InspectCheckpoint(wpath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  InspectCheckpoint: step %d, ranks %d, %d bytes (weights only)\n",
+		winfo.Step, winfo.Ranks, winfo.SizeBytes)
+	if winfo.Step != 0 || winfo.Ranks != 0 {
+		log.Fatal("weights-only checkpoint reports training state")
 	}
 	restored, err := exaclim.BuildModel("tiramisu", exaclim.Tiny,
 		exaclim.ModelConfig{Height: h, Width: w, Seed: 999})

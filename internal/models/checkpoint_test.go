@@ -2,6 +2,7 @@ package models
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,27 @@ import (
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
+
+// Weights-only checkpoints are snapshots carrying only Params: captured with
+// CaptureParamsInto, written with the snapshot encoder, loaded back with
+// RestoreParams by label and shape.
+
+func weightsOnly(t *testing.T, g *graph.Graph) *TrainState {
+	t.Helper()
+	params, err := CaptureParamsInto(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &TrainState{Params: params}
+}
+
+func restoreWeights(raw []byte, g *graph.Graph) error {
+	st, err := DecodeSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	return RestoreParams(g, st.Params)
+}
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := tinyCfg(1, 16, 16)
@@ -23,17 +45,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			p.Value.Data()[i] = float32(rng.NormFloat64())
 		}
 	}
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src.Graph); err != nil {
-		t.Fatal(err)
-	}
+	raw := encode(t, weightsOnly(t, src.Graph))
 
 	cfg.Seed = 1234 // different init — must be fully overwritten by load
 	dst, err := BuildTiramisu(TinyTiramisu(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), dst.Graph); err != nil {
+	if err := restoreWeights(raw, dst.Graph); err != nil {
 		t.Fatal(err)
 	}
 	sp, dp := src.Graph.Params(), dst.Graph.Params()
@@ -70,13 +89,21 @@ func TestCheckpointFileHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := SaveParamsFile(path, net.Graph); err != nil {
+	if err := SaveSnapshotFile(path, weightsOnly(t, net.Graph)); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParamsFile(path, net.Graph); err != nil {
+	st, err := LoadSnapshotFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParamsFile(filepath.Join(t.TempDir(), "missing"), net.Graph); err == nil {
+	if st.Step != 0 || st.Ranks != 0 || len(st.Cursors) != 0 || st.Opt != nil || st.Scaler != nil {
+		t.Fatalf("weights-only file decodes with step %d ranks %d, %d cursors, opt %v, scaler %v",
+			st.Step, st.Ranks, len(st.Cursors), st.Opt != nil, st.Scaler != nil)
+	}
+	if err := RestoreParams(net.Graph, st.Params); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -86,30 +113,34 @@ func TestCheckpointMismatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, a.Graph); err != nil {
-		t.Fatal(err)
-	}
+	raw := encode(t, weightsOnly(t, a.Graph))
 
 	// Different architecture (DeepLab) must refuse the checkpoint.
 	b, err := BuildDeepLab(TinyDeepLab(tinyCfg(1, 16, 24)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), b.Graph); err == nil {
+	if err := restoreWeights(raw, b.Graph); err == nil {
 		t.Fatal("cross-architecture load accepted")
 	}
 
+	// A parameter label the graph does not have.
+	renamed := weightsOnly(t, a.Graph)
+	renamed.Params[0].Label = "not_a_real_param"
+	if err := restoreWeights(encode(t, renamed), a.Graph); err == nil {
+		t.Fatal("unknown label accepted")
+	}
+
 	// Corrupt magic.
-	bad := append([]byte{}, buf.Bytes()...)
+	bad := append([]byte{}, raw...)
 	bad[0] ^= 0xFF
-	if err := LoadParams(bytes.NewReader(bad), a.Graph); err == nil {
-		t.Fatal("corrupt magic accepted")
+	if err := restoreWeights(bad, a.Graph); !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("corrupt magic: got %v, want ErrSnapshotFormat", err)
 	}
 
 	// Truncated stream.
-	if err := LoadParams(bytes.NewReader(buf.Bytes()[:len(buf.Bytes())/2]), a.Graph); err == nil {
-		t.Fatal("truncated checkpoint accepted")
+	if err := restoreWeights(raw[:len(raw)/2], a.Graph); !errors.Is(err, ErrSnapshotTruncated) {
+		t.Fatalf("truncated checkpoint: got %v, want ErrSnapshotTruncated", err)
 	}
 }
 
@@ -118,8 +149,7 @@ func TestCheckpointRefusesSymbolicGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, net.Graph); err == nil {
-		t.Fatal("symbolic save accepted")
+	if _, err := CaptureParamsInto(net.Graph, nil); err == nil {
+		t.Fatal("symbolic capture accepted")
 	}
 }

@@ -35,13 +35,18 @@ var ErrSnapshotRankMismatch = errors.New("models: snapshot world size does not m
 // over untouched; the per-column cursors are already world-size independent
 // and re-sharded by the trainer via ShardColumns. Legacy snapshots (zero
 // GlobalBatch) pin the global batch to the rank count they were taken at,
-// so their column structure survives the remap too.
+// so their column structure survives the remap too. A state with no columns
+// — a weights-only checkpoint — is refused with ErrSnapshotRankMismatch.
 func RemapTrainState(st *TrainState, newRanks int) error {
 	if newRanks < 1 {
 		return fmt.Errorf("models: cannot remap snapshot to %d ranks", newRanks)
 	}
 	if st.GlobalBatch == 0 {
 		st.GlobalBatch = st.Ranks
+	}
+	if st.GlobalBatch < 1 {
+		return fmt.Errorf("%w: snapshot carries no data columns (a weights-only checkpoint cannot resume training)",
+			ErrSnapshotRankMismatch)
 	}
 	if len(st.Cursors) != st.GlobalBatch {
 		return fmt.Errorf("%w: snapshot carries %d data cursors for a global batch of %d columns",

@@ -97,7 +97,8 @@ func TestGlobalIndexSequenceInvariant(t *testing.T) {
 
 // TestRemapTrainState covers the rescale rules: the cursor count must match
 // the snapshot's global batch (not the old world size), legacy snapshots
-// backfill GlobalBatch from Ranks, and bad targets fail typed.
+// backfill GlobalBatch from Ranks, and bad targets and weights-only states
+// fail typed.
 func TestRemapTrainState(t *testing.T) {
 	st := &TrainState{Ranks: 8, GlobalBatch: 8, Cursors: make([]uint64, 8)}
 	if err := RemapTrainState(st, 4); err != nil {
@@ -120,6 +121,11 @@ func TestRemapTrainState(t *testing.T) {
 	st = &TrainState{Ranks: 4, GlobalBatch: 8, Cursors: make([]uint64, 4)}
 	if err := RemapTrainState(st, 2); !errors.Is(err, ErrSnapshotRankMismatch) {
 		t.Fatalf("cursor mismatch: got %v, want ErrSnapshotRankMismatch", err)
+	}
+
+	// A weights-only checkpoint has no columns to resume.
+	if err := RemapTrainState(&TrainState{}, 4); !errors.Is(err, ErrSnapshotRankMismatch) {
+		t.Fatalf("weights-only state: got %v, want ErrSnapshotRankMismatch", err)
 	}
 
 	if err := RemapTrainState(&TrainState{}, 0); err == nil {

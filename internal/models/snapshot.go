@@ -21,14 +21,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// Full training-state snapshots. SaveParams/LoadParams capture only the
-// network weights, which is enough to ship a model to inference but not to
-// resume training: a weights-only restart silently resets the optimizer
-// moments, the FP16 loss scaler, the per-rank data-stream cursors, and the
-// step counter, so the resumed trajectory diverges from the uninterrupted
-// one. A TrainState snapshot carries all of it in one versioned, CRC-
-// guarded file, and the trainer's resume path reconstructs every piece —
-// resume(k steps) is bit-identical to never having stopped.
+// Training snapshots, the repo's one on-disk model format. A TrainState
+// carries everything a run needs to continue — weights, optimizer state
+// tree, FP16 loss scaler, per-column data-stream cursors, step counter — in
+// one versioned, CRC-guarded file, and the trainer's resume path
+// reconstructs every piece: resume(k steps) is bit-identical to never having
+// stopped. A weights-only checkpoint (a trained model shipped to inference
+// or used to warm-start) is the same file carrying only Params: zero ranks,
+// no cursors, no optimizer state, no scaler. It cannot resume training
+// (RemapTrainState and the trainer refuse it), and RestoreParams loads it
+// into any identically built network by label and shape.
 //
 // File layout (little endian):
 //
@@ -100,7 +102,7 @@ type TrainState struct {
 
 	// Compact selects the v3 compacted encoding on write: weights are
 	// byte-shuffled and DEFLATEd (lossless), Adam moment slots are 8-bit
-	// range-quantized before DEFLATE (lossy; see encodeSlotCompact). It is
+	// range-quantized before DEFLATE (lossy; see encodeSlot). It is
 	// also set on decode so callers can tell how a file was written.
 	Compact bool
 
@@ -172,8 +174,8 @@ func CaptureParamsInto(g *graph.Graph, prev []ParamState) ([]ParamState, error) 
 }
 
 // RestoreParams loads a parameter snapshot into a graph built with the same
-// architecture, matching by label and shape; missing or mismatched entries
-// are errors, exactly like LoadParams.
+// architecture, matching by label and shape. Missing or mismatched entries
+// are errors: a silent partial load hides real bugs.
 func RestoreParams(g *graph.Graph, params []ParamState) error {
 	byLabel := make(map[string]*graph.Node)
 	for _, p := range g.Params() {
@@ -205,18 +207,45 @@ func RestoreParams(g *graph.Graph, params []ParamState) error {
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeSnapshot writes the state as one framed, CRC-guarded snapshot. The
-// payload streams through a buffered writer in a single pass (its exact
-// size is computed up front for the header), so encoding allocates no
-// payload-sized intermediate — the asynchronous checkpoint writer's CPU
-// cost is one conversion sweep plus the hardware CRC.
+// uncompacted payload streams through a buffered writer in a single pass
+// (its exact size is computed up front for the header), so encoding
+// allocates no payload-sized intermediate — the asynchronous checkpoint
+// writer's CPU cost is one conversion sweep plus the hardware CRC.
+// Compressed section sizes cannot be known before compressing, so the
+// compacted payload is built in memory and framed afterwards — acceptable
+// because compaction exists precisely to make that payload several times
+// smaller. DEFLATE at a fixed level is deterministic, so two runs in the
+// same state still produce byte-identical files.
 func (s *TrainState) EncodeSnapshot(w io.Writer) error {
 	if s.Compact {
-		return s.encodeSnapshotCompact(w)
+		var payload bytes.Buffer
+		if err := s.writePayload(&payload); err != nil {
+			return err
+		}
+		return writeFramed(w, payload.Len(), func(pw io.Writer) error {
+			_, err := pw.Write(payload.Bytes())
+			return err
+		})
 	}
 	size, err := s.payloadSize()
 	if err != nil {
 		return err
 	}
+	return writeFramed(w, size, s.writePayload)
+}
+
+// writePayload encodes the payload through a 64 KiB buffer.
+func (s *TrainState) writePayload(w io.Writer) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if err := s.encodePayload(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// writeFramed writes the header announcing size payload bytes, the payload
+// that body writes, and the CRC-32C trailer over both.
+func writeFramed(w io.Writer, size int, body func(io.Writer) error) error {
 	var header [snapshotHeader]byte
 	binary.LittleEndian.PutUint32(header[0:], snapshotMagic)
 	binary.LittleEndian.PutUint32(header[4:], snapshotVersion)
@@ -227,46 +256,11 @@ func (s *TrainState) EncodeSnapshot(w io.Writer) error {
 	crc := crc32.New(snapshotCRC)
 	crc.Write(header[:])
 	cw := &countingWriter{w: io.MultiWriter(w, crc)}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if err := s.encodePayload(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := body(cw); err != nil {
 		return err
 	}
 	if cw.n != int64(size) {
 		return fmt.Errorf("models: snapshot encoder wrote %d payload bytes, sized %d", cw.n, size)
-	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
-}
-
-// encodeSnapshotCompact writes the compacted form. Compressed section sizes
-// cannot be known before compressing, so the payload is built in memory and
-// framed afterwards — acceptable because compaction exists precisely to make
-// that payload several times smaller than the streaming path's. DEFLATE at a
-// fixed level is deterministic, so two runs in the same state still produce
-// byte-identical files.
-func (s *TrainState) encodeSnapshotCompact(w io.Writer) error {
-	var payload bytes.Buffer
-	bw := bufio.NewWriterSize(&payload, 1<<16)
-	if err := s.encodePayload(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var header [snapshotHeader]byte
-	binary.LittleEndian.PutUint32(header[0:], snapshotMagic)
-	binary.LittleEndian.PutUint32(header[4:], snapshotVersion)
-	binary.LittleEndian.PutUint64(header[8:], uint64(payload.Len()))
-	crc := crc32.New(snapshotCRC)
-	crc.Write(header[:])
-	crc.Write(payload.Bytes())
-	if _, err := w.Write(header[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return err
 	}
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
@@ -347,6 +341,29 @@ func writeF32s(w *bufio.Writer, xs []float32) {
 	}
 }
 
+func writeString(w io.Writer, s string) error {
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
+		return err
+	}
+	_, err := w.Write([]byte(s))
+	return err
+}
+
+func readString(r io.Reader) (string, error) {
+	var n uint32
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return "", err
+	}
+	if n > 1<<20 {
+		return "", fmt.Errorf("implausible string length %d", n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
 func (s *TrainState) encodePayload(w *bufio.Writer) error {
 	le := binary.LittleEndian
 	gb := s.GlobalBatch
@@ -386,11 +403,7 @@ func (s *TrainState) encodePayload(w *bufio.Writer) error {
 			writeF32s(w, p.Data)
 		}
 	}
-	if s.Compact {
-		if err := encodeOptStateCompact(w, s.Opt); err != nil {
-			return err
-		}
-	} else if err := encodeOptState(w, s.Opt); err != nil {
+	if err := encodeOptState(w, s.Opt, s.Compact); err != nil {
 		return err
 	}
 	if s.Scaler == nil {
@@ -420,7 +433,10 @@ func (s *TrainState) encodePayload(w *bufio.Writer) error {
 	return nil
 }
 
-func encodeOptState(w *bufio.Writer, st *opt.State) error {
+// encodeOptState writes the optimizer state tree depth first. The tree
+// framing is one layout; compact selects only how each slot's floats are
+// stored (see encodeSlot).
+func encodeOptState(w *bufio.Writer, st *opt.State, compact bool) error {
 	if st == nil {
 		w.WriteByte(0)
 		return nil
@@ -431,26 +447,28 @@ func encodeOptState(w *bufio.Writer, st *opt.State) error {
 		return err
 	}
 	binary.Write(w, le, st.Step)
+	// Only Adam's m/ and v/ moment slots are quantized; everything else
+	// (LARC has no slots, SGD velocity is update state a resumed run keeps
+	// applying directly) stays lossless.
+	quantizable := st.Kind == "adam"
 	binary.Write(w, le, uint32(len(st.Slots)))
 	for _, s := range st.Slots {
-		if err := writeString(w, s.Name); err != nil {
+		if err := encodeSlot(w, s, compact, quantizable); err != nil {
 			return err
 		}
-		binary.Write(w, le, uint32(len(s.Data)))
-		writeF32s(w, s.Data)
 	}
 	binary.Write(w, le, uint32(len(st.Queue)))
 	for _, set := range st.Queue {
 		binary.Write(w, le, uint32(len(set)))
 		for _, s := range set {
-			if err := writeString(w, s.Name); err != nil {
+			// Queued gradients feed future optimizer updates verbatim;
+			// quantizing them would bias every delayed step. Lossless.
+			if err := encodeSlot(w, s, compact, false); err != nil {
 				return err
 			}
-			binary.Write(w, le, uint32(len(s.Data)))
-			writeF32s(w, s.Data)
 		}
 	}
-	return encodeOptState(w, st.Base)
+	return encodeOptState(w, st.Base, compact)
 }
 
 // --- compacted (v3, flags bit 0) section codecs ---
@@ -473,22 +491,6 @@ func writeCompressedF32s(w *bufio.Writer, xs []float32) {
 	w.Write(enc)
 }
 
-// readCompressedF32s reads the block writeCompressedF32s wrote, expecting
-// exactly ne float32 values.
-func readCompressedF32s(r *bytes.Reader, ne int) ([]float32, error) {
-	enc, err := readCompactBlock(r)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := inflateBytes(enc, 4*ne)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, ne)
-	byteUnshuffle(raw, out)
-	return out, nil
-}
-
 // readCompactBlock reads a u32-length-prefixed compressed block, bounding the
 // declared length by the remaining payload (the compressed bytes themselves
 // are stored verbatim, so the usual bound applies to them).
@@ -507,41 +509,6 @@ func readCompactBlock(r *bytes.Reader) ([]byte, error) {
 	return enc, nil
 }
 
-func encodeOptStateCompact(w *bufio.Writer, st *opt.State) error {
-	if st == nil {
-		w.WriteByte(0)
-		return nil
-	}
-	w.WriteByte(1)
-	le := binary.LittleEndian
-	if err := writeString(w, st.Kind); err != nil {
-		return err
-	}
-	binary.Write(w, le, st.Step)
-	// Only Adam's m/ and v/ moment slots are quantized; everything else
-	// (LARC has no slots, SGD velocity is update state a resumed run keeps
-	// applying directly) stays lossless.
-	quantizable := st.Kind == "adam"
-	binary.Write(w, le, uint32(len(st.Slots)))
-	for _, s := range st.Slots {
-		if err := encodeSlotCompact(w, s, quantizable); err != nil {
-			return err
-		}
-	}
-	binary.Write(w, le, uint32(len(st.Queue)))
-	for _, set := range st.Queue {
-		binary.Write(w, le, uint32(len(set)))
-		for _, s := range set {
-			// Queued gradients feed future optimizer updates verbatim;
-			// quantizing them would bias every delayed step. Lossless.
-			if err := encodeSlotCompact(w, s, false); err != nil {
-				return err
-			}
-		}
-	}
-	return encodeOptStateCompact(w, st.Base)
-}
-
 // Per-slot compact encodings, selected by the scheme byte after the element
 // count.
 const (
@@ -549,12 +516,19 @@ const (
 	slotQuant8   = 1 // f32 min, f32 step, deflate(u8 codes)
 )
 
-func encodeSlotCompact(w *bufio.Writer, s opt.Slot, quantizable bool) error {
+// encodeSlot writes one slot: name, element count, then the floats — raw
+// in a plain snapshot; in a compacted one a scheme byte followed by 8-bit
+// codes (quantizable Adam moments) or a lossless block.
+func encodeSlot(w *bufio.Writer, s opt.Slot, compact, quantizable bool) error {
 	le := binary.LittleEndian
 	if err := writeString(w, s.Name); err != nil {
 		return err
 	}
 	binary.Write(w, le, uint32(len(s.Data)))
+	if !compact {
+		writeF32s(w, s.Data)
+		return nil
+	}
 	if quantizable && (strings.HasPrefix(s.Name, "m/") || strings.HasPrefix(s.Name, "v/")) {
 		if lo, step, codes, ok := quantize8(s.Data); ok {
 			w.WriteByte(slotQuant8)
@@ -649,20 +623,29 @@ func deflateBytes(p []byte) []byte {
 	return buf.Bytes()
 }
 
+// deflateMaxRatio is the most DEFLATE can expand its input: one 258-byte
+// match coded in 2 bits.
+const deflateMaxRatio = 1032
+
 // inflateBytes decompresses p, requiring exactly want bytes: a compacted
-// section that inflates short or long is corrupt.
+// section that inflates short or long is corrupt. The first buffer is no
+// larger than p can expand to and grows only as inflated bytes arrive, so a
+// hostile declared size costs memory in proportion to the bytes the file
+// actually carries, never to the claim.
 func inflateBytes(p []byte, want int) ([]byte, error) {
 	fr := flate.NewReader(bytes.NewReader(p))
 	defer fr.Close()
-	out := make([]byte, want)
-	if _, err := io.ReadFull(fr, out); err != nil {
+	out := bytes.NewBuffer(make([]byte, 0, min(want, deflateMaxRatio*len(p))+bytes.MinRead))
+	if _, err := out.ReadFrom(io.LimitReader(fr, int64(want)+1)); err != nil {
 		return nil, fmt.Errorf("compacted section: %v", err)
 	}
-	var extra [1]byte
-	if n, _ := fr.Read(extra[:]); n != 0 {
+	switch {
+	case out.Len() < want:
+		return nil, fmt.Errorf("compacted section inflates to %d bytes, declared %d", out.Len(), want)
+	case out.Len() > want:
 		return nil, fmt.Errorf("compacted section inflates past its declared size")
 	}
-	return out, nil
+	return out.Bytes(), nil
 }
 
 // DecodeSnapshot reads and verifies a snapshot. Failures are typed: wrong
@@ -777,12 +760,7 @@ func decodePayload(r *bytes.Reader, version uint32) (*TrainState, error) {
 		// Accumulate the element count with the payload bound applied per
 		// dimension: hostile dims like 2^31 × 2^31 would overflow a single
 		// post-hoc `ne*4` check and reach make() with a panicking length.
-		// Compacted data is compressed, so the remaining-payload bound does
-		// not apply — the absolute cap stands in for it.
-		bound := uint64(r.Len()) / 4
-		if st.Compact {
-			bound = compactMaxElems
-		}
+		bound := maxElems(r, st.Compact)
 		ne := uint64(1)
 		for d := range shape {
 			var dim uint32
@@ -794,27 +772,14 @@ func decodePayload(r *bytes.Reader, version uint32) (*TrainState, error) {
 				return nil, fmt.Errorf("param %q data overruns the payload", label)
 			}
 		}
-		var data []float32
-		if st.Compact {
-			var derr error
-			if data, derr = readCompressedF32s(r, int(ne)); derr != nil {
-				return nil, fmt.Errorf("param %q: %v", label, derr)
-			}
-		} else {
-			data = make([]float32, ne)
-			if err := binary.Read(r, le, data); err != nil {
-				return nil, err
-			}
+		data, err := readFloats(r, int(ne), st.Compact)
+		if err != nil {
+			return nil, fmt.Errorf("param %q: %v", label, err)
 		}
 		st.Params[i] = ParamState{Label: label, Shape: shape, Data: data}
 	}
 	var err error
-	if st.Compact {
-		st.Opt, err = decodeOptStateCompact(r, 0)
-	} else {
-		st.Opt, err = decodeOptState(r, 0)
-	}
-	if err != nil {
+	if st.Opt, err = decodeOptState(r, st.Compact, 0); err != nil {
 		return nil, err
 	}
 	has, err := r.ReadByte()
@@ -883,7 +848,45 @@ func decodePayload(r *bytes.Reader, version uint32) (*TrainState, error) {
 	return st, nil
 }
 
-func decodeOptState(r *bytes.Reader, depth int) (*opt.State, error) {
+// maxElems bounds one section's declared element count before anything is
+// allocated for it: raw floats must fit in the remaining payload. Compacted
+// data is compressed, so that bound does not apply and the absolute cap
+// stands in for it.
+func maxElems(r *bytes.Reader, compact bool) uint64 {
+	if compact {
+		return compactMaxElems
+	}
+	return uint64(r.Len()) / 4
+}
+
+// readFloats reads ne float32 values stored raw or, in a compacted
+// snapshot, as the lossless block writeCompressedF32s wrote.
+func readFloats(r *bytes.Reader, ne int, compact bool) ([]float32, error) {
+	if !compact {
+		data := make([]float32, ne)
+		if err := binary.Read(r, binary.LittleEndian, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	enc, err := readCompactBlock(r)
+	if err != nil {
+		return nil, err
+	}
+	// Inflate before allocating: the declared count is not yet backed by
+	// bytes.
+	raw, err := inflateBytes(enc, 4*ne)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]float32, ne)
+	byteUnshuffle(raw, data)
+	return data, nil
+}
+
+// decodeOptState reads the tree encodeOptState wrote with the same compact
+// bit.
+func decodeOptState(r *bytes.Reader, compact bool, depth int) (*opt.State, error) {
 	if depth > 8 {
 		return nil, fmt.Errorf("optimizer state nested deeper than any real composition")
 	}
@@ -919,16 +922,9 @@ func decodeOptState(r *bytes.Reader, depth int) (*opt.State, error) {
 			if err != nil {
 				return nil, err
 			}
-			var ln uint32
-			if err := binary.Read(r, le, &ln); err != nil {
-				return nil, err
-			}
-			if uint64(ln)*4 > uint64(r.Len()) {
-				return nil, fmt.Errorf("slot %q data overruns the payload", name)
-			}
-			data := make([]float32, ln)
-			if err := binary.Read(r, le, data); err != nil {
-				return nil, err
+			data, err := decodeSlotData(r, compact)
+			if err != nil {
+				return nil, fmt.Errorf("slot %q: %v", name, err)
 			}
 			slots[i] = opt.Slot{Name: name, Data: data}
 		}
@@ -951,112 +947,54 @@ func decodeOptState(r *bytes.Reader, depth int) (*opt.State, error) {
 		}
 		st.Queue = append(st.Queue, set)
 	}
-	if st.Base, err = decodeOptState(r, depth+1); err != nil {
+	if st.Base, err = decodeOptState(r, compact, depth+1); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-func decodeOptStateCompact(r *bytes.Reader, depth int) (*opt.State, error) {
-	if depth > 8 {
-		return nil, fmt.Errorf("optimizer state nested deeper than any real composition")
+// decodeSlotData reads what encodeSlot wrote after the slot name.
+func decodeSlotData(r *bytes.Reader, compact bool) ([]float32, error) {
+	le := binary.LittleEndian
+	var ne uint32
+	if err := binary.Read(r, le, &ne); err != nil {
+		return nil, err
 	}
-	has, err := r.ReadByte()
+	if uint64(ne) > maxElems(r, compact) {
+		return nil, fmt.Errorf("data overruns the payload")
+	}
+	if !compact {
+		return readFloats(r, int(ne), false)
+	}
+	scheme, err := r.ReadByte()
 	if err != nil {
 		return nil, err
 	}
-	if has == 0 {
-		return nil, nil
-	}
-	le := binary.LittleEndian
-	st := &opt.State{}
-	if st.Kind, err = readString(r); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, le, &st.Step); err != nil {
-		return nil, err
-	}
-	readSlots := func() ([]opt.Slot, error) {
-		var n uint32
-		if err := binary.Read(r, le, &n); err != nil {
+	switch scheme {
+	case slotLossless:
+		return readFloats(r, int(ne), true)
+	case slotQuant8:
+		var lo, step float32
+		if err := binary.Read(r, le, &lo); err != nil {
 			return nil, err
 		}
-		if n == 0 {
-			return nil, nil // keep nil/empty symmetric with the encoder
+		if err := binary.Read(r, le, &step); err != nil {
+			return nil, err
 		}
-		if uint64(n)*4 > uint64(r.Len()) {
-			return nil, fmt.Errorf("implausible slot count %d", n)
-		}
-		slots := make([]opt.Slot, n)
-		for i := range slots {
-			name, err := readString(r)
-			if err != nil {
-				return nil, err
-			}
-			var ne uint32
-			if err := binary.Read(r, le, &ne); err != nil {
-				return nil, err
-			}
-			if ne > compactMaxElems {
-				return nil, fmt.Errorf("slot %q overruns the payload", name)
-			}
-			scheme, err := r.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			switch scheme {
-			case slotLossless:
-				data, err := readCompressedF32s(r, int(ne))
-				if err != nil {
-					return nil, fmt.Errorf("slot %q: %v", name, err)
-				}
-				slots[i] = opt.Slot{Name: name, Data: data}
-			case slotQuant8:
-				var lo, step float32
-				if err := binary.Read(r, le, &lo); err != nil {
-					return nil, err
-				}
-				if err := binary.Read(r, le, &step); err != nil {
-					return nil, err
-				}
-				enc, err := readCompactBlock(r)
-				if err != nil {
-					return nil, fmt.Errorf("slot %q: %v", name, err)
-				}
-				codes, err := inflateBytes(enc, int(ne))
-				if err != nil {
-					return nil, fmt.Errorf("slot %q: %v", name, err)
-				}
-				data := make([]float32, ne)
-				dequantize8(lo, step, codes, data)
-				slots[i] = opt.Slot{Name: name, Data: data}
-			default:
-				return nil, fmt.Errorf("slot %q: unknown compact scheme %d", name, scheme)
-			}
-		}
-		return slots, nil
-	}
-	if st.Slots, err = readSlots(); err != nil {
-		return nil, err
-	}
-	var nq uint32
-	if err := binary.Read(r, le, &nq); err != nil {
-		return nil, err
-	}
-	if uint64(nq)*4 > uint64(r.Len()) {
-		return nil, fmt.Errorf("implausible queue length %d", nq)
-	}
-	for i := uint32(0); i < nq; i++ {
-		set, err := readSlots()
+		enc, err := readCompactBlock(r)
 		if err != nil {
 			return nil, err
 		}
-		st.Queue = append(st.Queue, set)
+		codes, err := inflateBytes(enc, int(ne))
+		if err != nil {
+			return nil, err
+		}
+		data := make([]float32, ne)
+		dequantize8(lo, step, codes, data)
+		return data, nil
+	default:
+		return nil, fmt.Errorf("unknown compact scheme %d", scheme)
 	}
-	if st.Base, err = decodeOptStateCompact(r, depth+1); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // SaveSnapshotFile writes the state to path (not atomically — the trainer's

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,7 +53,7 @@ func testState(t *testing.T) *TrainState {
 	}
 }
 
-func encode(t *testing.T, st *TrainState) []byte {
+func encode(t testing.TB, st *TrainState) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := st.EncodeSnapshot(&buf); err != nil {
@@ -133,8 +132,10 @@ func TestSnapshotHostileShapeFailsTyped(t *testing.T) {
 	le := binary.LittleEndian
 	binary.Write(&payload, le, uint64(1)) // step
 	binary.Write(&payload, le, uint32(1)) // ranks
+	binary.Write(&payload, le, uint32(1)) // global batch
 	binary.Write(&payload, le, int64(1))  // seed
 	binary.Write(&payload, le, uint32(0)) // skipped
+	payload.WriteByte(0)                  // flags: uncompacted
 	binary.Write(&payload, le, uint32(0)) // no cursors
 	binary.Write(&payload, le, uint32(1)) // one param
 	binary.Write(&payload, le, uint32(1)) // label length
@@ -143,17 +144,7 @@ func TestSnapshotHostileShapeFailsTyped(t *testing.T) {
 	binary.Write(&payload, le, uint32(1<<31))
 	binary.Write(&payload, le, uint32(1<<31))
 
-	var raw bytes.Buffer
-	var header [snapshotHeader]byte
-	le.PutUint32(header[0:], snapshotMagic)
-	le.PutUint32(header[4:], snapshotVersion)
-	le.PutUint64(header[8:], uint64(payload.Len()))
-	raw.Write(header[:])
-	raw.Write(payload.Bytes())
-	crc := crc32.Checksum(raw.Bytes(), snapshotCRC)
-	binary.Write(&raw, le, crc)
-
-	_, err := DecodeSnapshot(bytes.NewReader(raw.Bytes()))
+	_, err := DecodeSnapshot(bytes.NewReader(frameSnapshot(payload.Bytes())))
 	if !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 	}
@@ -172,7 +163,7 @@ func TestSnapshotVersionSkewFailsTyped(t *testing.T) {
 func TestSnapshotForeignFileFailsTyped(t *testing.T) {
 	for _, raw := range [][]byte{
 		[]byte("this is not a snapshot, it is a sentence padded to be long enough"),
-		encodeParamsOnly(t), // a weights-only SaveParams checkpoint
+		legacyCKPT, // the retired weights-only format
 	} {
 		_, err := DecodeSnapshot(bytes.NewReader(raw))
 		if !errors.Is(err, ErrSnapshotFormat) {
@@ -181,17 +172,15 @@ func TestSnapshotForeignFileFailsTyped(t *testing.T) {
 	}
 }
 
-func encodeParamsOnly(t *testing.T) []byte {
-	t.Helper()
-	net, err := BuildTiramisu(TinyTiramisu(tinyCfg(1, 16, 16)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, net.Graph); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// legacyCKPT is the head of a file in the retired weights-only format:
+// magic "CKPT", one parameter labelled "w" of shape [2], no checksum. Those
+// files are no longer readable and must be refused as foreign.
+var legacyCKPT = []byte{
+	'T', 'P', 'K', 'C', // magic 0x434B5054, little endian
+	1, 0, 0, 0, // parameter count
+	1, 0, 0, 0, 'w', // label
+	1, 0, 0, 0, 2, 0, 0, 0, // rank 1, shape [2]
+	0, 0, 0x80, 0x3f, 0, 0, 0, 0x40, // 1.0, 2.0
 }
 
 func TestSnapshotRetentionAndLatest(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // flags byte. Kept in the tests as the authoritative record of what v2
 // files on disk look like, so the decoder's fallback is pinned against
 // real bytes rather than against the current encoder.
-func encodeSnapshotV2(t *testing.T, s *TrainState) []byte {
+func encodeSnapshotV2(t testing.TB, s *TrainState) []byte {
 	t.Helper()
 	var payload bytes.Buffer
 	bw := bufio.NewWriter(&payload)
@@ -38,7 +38,7 @@ func encodeSnapshotV2(t *testing.T, s *TrainState) []byte {
 		}
 		writeF32s(bw, p.Data)
 	}
-	if err := encodeOptState(bw, s.Opt); err != nil {
+	if err := encodeOptState(bw, s.Opt, false); err != nil {
 		t.Fatal(err)
 	}
 	if s.Scaler == nil {
