@@ -237,7 +237,6 @@ func New(opts ...Option) (*Experiment, error) {
 			ValidateEvery:      o.valEvery,
 			StepComputeSeconds: o.stepSeconds,
 			KernelWorkers:      o.kernelWorkers,
-			KernelISA:          o.kernelISA,
 			CheckpointEvery:    o.ckptEvery,
 			CheckpointDir:      o.ckptDir,
 			CheckpointRetain:   o.ckptRetain,

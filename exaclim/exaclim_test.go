@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/loss"
 	"repro/internal/simnet"
-	"repro/internal/tensor"
 )
 
 // TestOptionsApplyToConfig checks that every functional option lands on the
@@ -377,33 +376,5 @@ func TestWorkspaceOptions(t *testing.T) {
 	}
 	if last.PoolAllocs >= last.PoolReuses {
 		t.Fatalf("steady state should reuse more than it allocates: %+v", last)
-	}
-}
-
-// TestKernelISAOption covers ISA pinning: invalid names are rejected at
-// New, "scalar" runs force the reference kernels, and the prior ISA is
-// restored after the run.
-func TestKernelISAOption(t *testing.T) {
-	if _, err := New(WithKernelISA("sse9")); err == nil {
-		t.Fatal("WithKernelISA(\"sse9\") must be rejected")
-	}
-
-	before := tensor.ActiveISA()
-	exp, err := New(
-		WithSyntheticData(16, 16, 8, 3),
-		WithSteps(2),
-		WithKernelISA("scalar"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp.cfg.KernelISA != "scalar" {
-		t.Fatalf("cfg.KernelISA = %q, want scalar", exp.cfg.KernelISA)
-	}
-	if _, err := exp.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if after := tensor.ActiveISA(); after != before {
-		t.Fatalf("ISA not restored after run: before %v, after %v", before, after)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
-	"repro/internal/tensor"
 )
 
 // Precision selects the arithmetic. For training, FP16 enables the
@@ -122,7 +121,6 @@ type options struct {
 	stepSeconds float64
 
 	kernelWorkers int
-	kernelISA     string
 
 	observers []Observer
 	initCkpt  string
@@ -407,24 +405,6 @@ func WithKernelWorkers(n int) Option {
 			return
 		}
 		o.kernelWorkers = n
-	}
-}
-
-// WithKernelISA pins the tensor-kernel instruction set for the run:
-// "scalar" forces the portable reference kernels (bit-reproducible across
-// machines), "avx2" requires the AVX2+FMA kernels (an error surfaces from
-// the run on hardware without them), and "auto" picks the best supported
-// set. Like WithKernelWorkers the setting is process-wide while the
-// experiment runs and restored afterwards. Bit-exact resume requires
-// resuming under the same ISA the checkpoint was written under; omit the
-// option to keep the current setting.
-func WithKernelISA(isa string) Option {
-	return func(o *options) {
-		if _, err := tensor.ParseISA(isa); err != nil {
-			o.err = fmt.Errorf("exaclim: WithKernelISA: %w", err)
-			return
-		}
-		o.kernelISA = isa
 	}
 }
 

@@ -125,16 +125,6 @@ type Config struct {
 	// concurrent Train calls in one process share it (last setter wins), so
 	// set it only when runs are serialized.
 	KernelWorkers int
-	// KernelISA, when non-empty ("auto", "scalar", or "avx2"), pins the
-	// tensor-kernel instruction set for the run (process-wide; restored
-	// afterwards). Empty keeps the current setting. Bit-exact resume
-	// requires resuming under the same ISA the checkpointed run used:
-	// within one ISA kernels are deterministic, but the AVX2 GEMM
-	// reassociates accumulation chains relative to scalar (≤4·ULP per
-	// chain), so cross-ISA resume is tolerance-exact only. "scalar" forces
-	// the portable reference kernels for cross-machine reproducibility;
-	// "avx2" errors on hardware without AVX2+FMA.
-	KernelISA string
 
 	// CheckpointEvery, when > 0, writes a full training-state snapshot
 	// every N steps: weights, optimizer moments (including the LARC base
@@ -414,17 +404,6 @@ func Train(cfg Config) (*Result, error) {
 	if cfg.KernelWorkers > 0 {
 		prev := tensor.SetParallelism(cfg.KernelWorkers)
 		defer tensor.SetParallelism(prev)
-	}
-	if cfg.KernelISA != "" {
-		isa, err := tensor.ParseISA(cfg.KernelISA)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		prev, err := tensor.SetKernelISA(isa)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		defer tensor.SetKernelISA(prev)
 	}
 
 	weights := loss.ClassWeights(classFrequencies(cfg.Dataset), cfg.Weighting)

@@ -34,7 +34,7 @@ func TestDirectConvBitParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			x := tensor.RandNormal(tensor.NCHW(tc.n, tc.cin, tc.h, tc.w), 0, 1, rng)
 			w := tensor.RandNormal(tensor.OIHW(tc.cout, tc.cin, tc.kern, tc.kern), 0, 0.3, rng)
-			// A few exact zeros in the weights exercise the zero-skip paths.
+			// A few exact zeros in the weights, which no route may skip.
 			wd := w.Data()
 			for i := 0; i < len(wd); i += 7 {
 				wd[i] = 0

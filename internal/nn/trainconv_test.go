@@ -119,9 +119,8 @@ func (c convCase) String() string {
 		c.n, c.cin, c.cout, c.h, c.w, c.kern, c.stride, c.pad, c.dil)
 }
 
-// trainConvCases reach both GEMM routes under both ISAs: the scalar
-// blocked path needs m ≥ 16, a K of at least 32 and a product above 2¹⁸
-// (the dilated case), the AVX2 one only a product above 2¹⁰.
+// trainConvCases span one and several register tiles of both kernels,
+// strides, dilation, 1×1 kernels and batches of one and three.
 var trainConvCases = []convCase{
 	{1, 3, 4, 9, 9, 3, 1, 1, 1},
 	{3, 16, 4, 32, 32, 3, 1, 1, 1}, // the growth-rate layer

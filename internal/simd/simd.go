@@ -5,10 +5,10 @@
 //
 // Detection happens once at init via CPUID/XGETBV (no cgo, no external
 // modules). The kernels stay optional: every SIMD entry point has a
-// portable scalar reference implementation, and the switch can force the
-// scalar path at runtime — `EXACLIM_NOSIMD=1` in the environment, or
-// tensor.SetKernelISA / exaclim.WithKernelISA programmatically — so
-// bit-reproducibility studies and non-amd64 builds run the same code.
+// portable scalar implementation with the same bits, and the switch can
+// force the scalar path at runtime — `EXACLIM_NOSIMD=1` in the
+// environment, or tensor.SetKernelISA programmatically — so the scalar
+// kernels are exercised on AVX2 hosts too.
 package simd
 
 import (
@@ -26,7 +26,7 @@ var (
 
 // disabled is the process-wide kill switch. It defaults to the
 // EXACLIM_NOSIMD environment variable and is flipped by
-// tensor.SetKernelISA when a run pins the scalar ISA.
+// tensor.SetKernelISA.
 var disabled atomic.Bool
 
 func init() {

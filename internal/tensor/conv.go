@@ -13,24 +13,13 @@ import "repro/internal/simd"
 // Instead, ConvGemm and ConvGemmWeightGrad copy the image once into a
 // zero-bordered buffer of cin·PH·PW floats — roughly KH·KW× smaller than
 // the panel — and take every im2col element from there: each im2col row is
-// the bordered image shifted by one kernel tap. Each dispatches exactly as
-// Gemm would on the im2col formulation, and each route performs, for every
-// output element, the floating-point operations of that formulation:
-//
-//   - Small path (GemmUsesSmallPath): for the forward, the direct
-//     convolution for stride 1, which mirrors gemmSmallRows' axpy kernel
-//     term for term — taps grouped four at a time with the same
-//     left-associated a0·b0 + a1·b1 + a2·b2 + a3·b3 update, the same
-//     all-four-zero group skip, and the same single-tap tail with its
-//     per-tap zero skip. Strided small forwards and every small weight
-//     gradient keep Im2col + Gemm.
-//   - Blocked path: Gemm's own blocked driver, with a B source that packs
-//     its NR-wide strips straight from the bordered image — the im2col
-//     matrix for the forward (convImage.pack), its transpose for the
-//     weight gradient (convImage.packT). The packed panel holds exactly
-//     the bytes packB/packB16 would write from Im2col(x), so the K-block
-//     and M-block loops and the micro-kernels see the same operands in the
-//     same order.
+// the bordered image shifted by one kernel tap. Both run Gemm's own blocked
+// driver with a B source that packs its NR-wide strips straight from the
+// bordered image — the im2col matrix for the forward (convImage.pack), its
+// transpose for the weight gradient (convImage.packT). The packed panel
+// holds exactly the bytes packB/packB16 would write from Im2col(x), so the
+// K-block and M-block loops and the micro-kernels see the same operands in
+// the same order, and every output element gets Gemm's bits.
 //
 // Border positions hold literal +0, as the im2col panel pads, so even the
 // border arithmetic is identical. Pointwise (1×1, stride 1, unpadded)
@@ -41,32 +30,24 @@ import "repro/internal/simd"
 // k] ⊛ x[cin, InH, InW] (w row-major [cout, cin·KH·KW], every element of
 // out written) with the same bits as Im2col into a k × OutH·OutW panel
 // followed by Gemm(false, false, cout, OutH·OutW, k, 1, w, k, panel, …, 0,
-// out, OutH·OutW), without materializing the panel on the blocked path.
-// Scratch comes from wsp.
+// out, OutH·OutW), without materializing the panel. Scratch comes from
+// wsp.
 func ConvGemm(w []float32, cout int, x []float32, cin int, g ConvGeom, out []float32, wsp *Workspace) {
 	cols := g.OutH() * g.OutW()
 	k := cin * g.KH * g.KW
 	if len(out) < cout*cols || len(w) < cout*k || len(x) < cin*g.InH*g.InW {
 		panic("tensor: ConvGemm operand too short")
 	}
-	small := GemmUsesSmallPath(cout, cols, k)
-	if small && (g.StrideH != 1 || g.StrideW != 1) {
-		col := wsp.GetF32(k * cols)
-		Im2col(x, cin, g, col)
-		Gemm(false, false, cout, cols, k, 1, w, k, col, cols, 0, out, cols)
-		wsp.PutF32(col)
+	if cout == 0 || cols == 0 || k == 0 {
+		clear(out[:cout*cols])
 		return
 	}
 	ph, pw := g.bordered()
 	pad := wsp.GetF32(cin * ph * pw)
 	borderImage(x, cin, g, ph, pw, pad)
-	if small {
-		directConv(pad, cin, g, ph, pw, w, out, cout)
-	} else {
-		img := convImage{pad: pad, g: g, ph: ph, pw: pw}
-		gemmBlocked(ActiveISA() == ISAAVX2, false, cout, cols, k, 1, w, k,
-			bSource{img: &img}, 0, out, cols)
-	}
+	img := convImage{pad: pad, g: g, ph: ph, pw: pw}
+	gemmBlocked(ActiveISA() == ISAAVX2, false, cout, cols, k, 1, w, k,
+		bSource{img: &img}, 0, out, cols)
 	wsp.PutF32(pad)
 }
 
@@ -75,18 +56,14 @@ func ConvGemm(w []float32, cout int, x []float32, cin int, g ConvGeom, out []flo
 // gw row-major [cout, cin·KH·KW]), with the same bits as Im2col into a k ×
 // OutH·OutW panel followed by Gemm(false, true, cout, k, OutH·OutW, 1,
 // gOut, OutH·OutW, panel, OutH·OutW, 1, gw, k), without materializing the
-// panel on the blocked path. Scratch comes from wsp.
+// panel. Scratch comes from wsp.
 func ConvGemmWeightGrad(gOut []float32, cout int, x []float32, cin int, g ConvGeom, gw []float32, wsp *Workspace) {
 	cols := g.OutH() * g.OutW()
 	k := cin * g.KH * g.KW
 	if len(gOut) < cout*cols || len(gw) < cout*k || len(x) < cin*g.InH*g.InW {
 		panic("tensor: ConvGemmWeightGrad operand too short")
 	}
-	if GemmUsesSmallPath(cout, k, cols) {
-		col := wsp.GetF32(k * cols)
-		Im2col(x, cin, g, col)
-		Gemm(false, true, cout, k, cols, 1, gOut, cols, col, cols, 1, gw, k)
-		wsp.PutF32(col)
+	if cout == 0 || cols == 0 || k == 0 {
 		return
 	}
 	ph, pw := g.bordered()
@@ -269,119 +246,6 @@ func (im *convImage) tapOffsets(p0 int, dst []int) {
 			if ky++; ky == g.KH {
 				ky, off = 0, off+(ph-g.KH*g.DilH)*pw
 			}
-		}
-	}
-}
-
-// directConv is the small-path convolution of one bordered image pad (cin
-// × ph × pw, see borderImage) with stride 1: out[m, oh·ow] = w[m, k] ·
-// im2col, reading every tap row from pad in place.
-func directConv(pad []float32, cin int, g ConvGeom, ph, pw int, w, out []float32, m int) {
-	kh, kw := g.KH, g.KW
-	oh, ow := g.OutH(), g.OutW()
-	k := cin * kh * kw
-	ohow := oh * ow
-
-	clear(out[:m*ohow])
-
-	var off [4]int
-	p0 := 0
-	for ; p0+3 < k; p0 += 4 {
-		// Tap offsets into the bordered image: tap p at output pixel (oy, ox)
-		// reads pad[(cc·ph + oy + ky·dil)·pw + ox + kx·dil] — always in
-		// range, with border positions holding +0.
-		for t := 0; t < 4; t++ {
-			p := p0 + t
-			cc := p / (kh * kw)
-			ky := (p / kw) % kh
-			kx := p % kw
-			off[t] = (cc*ph+ky*g.DilH)*pw + kx*g.DilW
-		}
-		for oy := 0; oy < oh; oy++ {
-			rowBase := oy * pw
-			m0 := pad[off[0]+rowBase : off[0]+rowBase+ow]
-			m1 := pad[off[1]+rowBase : off[1]+rowBase+ow]
-			m2 := pad[off[2]+rowBase : off[2]+rowBase+ow]
-			m3 := pad[off[3]+rowBase : off[3]+rowBase+ow]
-			// Register-block four output channels per pass: each tap row is
-			// loaded once for four accumulator rows (the per-element update
-			// expression — and so its result — is unchanged; only the order
-			// across independent elements differs). A channel whose four
-			// group weights are all zero takes the single-channel loop,
-			// which skips it exactly as the GEMM's axpy kernel does (the
-			// quad would add 0·v terms — a NaN, not a no-op, for
-			// non-finite activations).
-			i := 0
-			for ; i+3 < m; i += 4 {
-				w0 := w[i*k+p0 : i*k+p0+4]
-				w1 := w[(i+1)*k+p0 : (i+1)*k+p0+4]
-				w2 := w[(i+2)*k+p0 : (i+2)*k+p0+4]
-				w3 := w[(i+3)*k+p0 : (i+3)*k+p0+4]
-				if allZero4(w0) || allZero4(w1) || allZero4(w2) || allZero4(w3) {
-					directGroupRow(out[i*ohow+oy*ow:], ohow, min(4, m-i), w, i, k, p0, m0, m1, m2, m3)
-					continue
-				}
-				d0 := out[i*ohow+oy*ow : i*ohow+oy*ow+ow]
-				d1 := out[(i+1)*ohow+oy*ow : (i+1)*ohow+oy*ow+ow]
-				d2 := out[(i+2)*ohow+oy*ow : (i+2)*ohow+oy*ow+ow]
-				d3 := out[(i+3)*ohow+oy*ow : (i+3)*ohow+oy*ow+ow]
-				for idx := range d0 {
-					v0, v1, v2, v3 := m0[idx], m1[idx], m2[idx], m3[idx]
-					d0[idx] += w0[0]*v0 + w0[1]*v1 + w0[2]*v2 + w0[3]*v3
-					d1[idx] += w1[0]*v0 + w1[1]*v1 + w1[2]*v2 + w1[3]*v3
-					d2[idx] += w2[0]*v0 + w2[1]*v1 + w2[2]*v2 + w2[3]*v3
-					d3[idx] += w3[0]*v0 + w3[1]*v1 + w3[2]*v2 + w3[3]*v3
-				}
-			}
-			if i < m {
-				directGroupRow(out[i*ohow+oy*ow:], ohow, m-i, w, i, k, p0, m0, m1, m2, m3)
-			}
-		}
-	}
-	// Tail taps (k % 4): single-tap axpy rows, matching gemmSmallRows' tail.
-	for p := p0; p < k; p++ {
-		cc := p / (kh * kw)
-		ky := (p / kw) % kh
-		kx := p % kw
-		off0 := (cc*ph+ky*g.DilH)*pw + kx*g.DilW
-		for i := 0; i < m; i++ {
-			ap := w[i*k+p]
-			if ap == 0 {
-				continue
-			}
-			for oy := 0; oy < oh; oy++ {
-				src := pad[off0+oy*pw : off0+oy*pw+ow]
-				dst := out[i*ohow+oy*ow : i*ohow+oy*ow+ow]
-				for idx := range dst {
-					dst[idx] += ap * src[idx]
-				}
-			}
-		}
-	}
-}
-
-// allZero4 reports whether a four-weight group is entirely zero — the
-// condition under which gemmSmallRows skips the group.
-func allZero4(w []float32) bool {
-	return w[0] == 0 && w[1] == 0 && w[2] == 0 && w[3] == 0
-}
-
-// directGroupRow applies one four-tap group to rows output channels one at
-// a time — the axpy kernel's per-channel form, with its all-zero group
-// skip. dst's channel rows are ohow apart; m0..m3 are the group's tap rows
-// for the current output row.
-func directGroupRow(dst []float32, ohow, rows int, w []float32, i0, k, p0 int, m0, m1, m2, m3 []float32) {
-	for t := 0; t < rows; t++ {
-		a0 := w[(i0+t)*k+p0]
-		a1 := w[(i0+t)*k+p0+1]
-		a2 := w[(i0+t)*k+p0+2]
-		a3 := w[(i0+t)*k+p0+3]
-		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-			continue
-		}
-		row := dst[t*ohow : t*ohow+len(m0)]
-		for idx := range row {
-			row[idx] += a0*m0[idx] + a1*m1[idx] + a2*m2[idx] + a3*m3[idx]
 		}
 	}
 }

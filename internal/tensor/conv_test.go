@@ -58,7 +58,7 @@ func TestConvGemmMatchesIm2colGemm(t *testing.T) {
 					}
 					w := randomSlice(rng, cout*k)
 					for i := 0; i < len(w); i += 7 {
-						w[i] = 0 // exercises the small path's zero skips
+						w[i] = 0 // zero weights, which no route may skip
 					}
 					want := make([]float32, cout*cols)
 					Gemm(false, false, cout, cols, k, 1, w, k, col, cols, 0, want, cols)
@@ -69,8 +69,8 @@ func TestConvGemmMatchesIm2colGemm(t *testing.T) {
 					ConvGemm(w, cout, x, cin, g, got, wsp)
 					for i := range want {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("%s cin=%d cout=%d (small path %v): out[%d] = %v, Im2col+Gemm %v",
-								geomName(g), cin, cout, GemmUsesSmallPath(cout, cols, k), i, got[i], want[i])
+							t.Fatalf("%s cin=%d cout=%d: out[%d] = %v, Im2col+Gemm %v",
+								geomName(g), cin, cout, i, got[i], want[i])
 						}
 					}
 				}
@@ -156,14 +156,58 @@ func TestConvGemmWeightGradMatchesIm2colGemm(t *testing.T) {
 					}
 					for i := range want {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("%s cin=%d cout=%d (small path %v): gw[%d] = %v, Im2col+Gemm %v",
-								geomName(g), cin, cout, GemmUsesSmallPath(cout, k, cols), i, got[i], want[i])
+							t.Fatalf("%s cin=%d cout=%d: gw[%d] = %v, Im2col+Gemm %v",
+								geomName(g), cin, cout, i, got[i], want[i])
 						}
 					}
 				}
 			}
 		}
 	})
+}
+
+// TestConvGemmISAParity checks that ConvGemm and ConvGemmWeightGrad give
+// the same bits under the scalar and the AVX2 kernels, over every geometry
+// of convGemmGeoms (each stride, dilation and padding, down to 1×1 outputs
+// and single-channel stride-1 convolutions) with cin {1, 3, 30} and cout
+// {1, 8, 24, 150}: register-tile edges of both kernels, one and two K
+// blocks, and the M-block fan-out.
+func TestConvGemmISAParity(t *testing.T) {
+	if !simd.HasAVX2() {
+		t.Skip("AVX2 unavailable")
+	}
+	rng := rand.New(rand.NewSource(34))
+	wsp := NewWorkspace(NewPool())
+	run := func(isa KernelISA, f func()) {
+		defer withISA(t, isa)()
+		f()
+	}
+	for _, g := range convGemmGeoms {
+		cols := g.OutH() * g.OutW()
+		for _, cin := range []int{1, 3, 30} {
+			k := cin * g.KH * g.KW
+			x := randomSlice(rng, cin*g.InH*g.InW)
+			for _, cout := range []int{1, 8, 24, 150} {
+				if cout*cols*k > 1<<24 {
+					continue
+				}
+				w := randomSlice(rng, cout*k)
+				gOut := randomSlice(rng, cout*cols)
+				gw0 := randomSlice(rng, cout*k)
+				var out, gw [2][]float32
+				for i, isa := range []KernelISA{ISAScalar, ISAAVX2} {
+					out[i] = make([]float32, cout*cols)
+					gw[i] = append([]float32(nil), gw0...)
+					run(isa, func() {
+						ConvGemm(w, cout, x, cin, g, out[i], wsp)
+						ConvGemmWeightGrad(gOut, cout, x, cin, g, gw[i], wsp)
+					})
+				}
+				sameBitsAcrossISAs(t, fmt.Sprintf("%s cin=%d cout=%d ConvGemm", geomName(g), cin, cout), out[0], out[1])
+				sameBitsAcrossISAs(t, fmt.Sprintf("%s cin=%d cout=%d ConvGemmWeightGrad", geomName(g), cin, cout), gw[0], gw[1])
+			}
+		}
+	}
 }
 
 // TestConvImagePackTMatchesPackB checks the transposed implicit packer

@@ -19,8 +19,8 @@ func Axpy(alpha float32, x, y []float32) {
 
 func axpyRange(alpha float32, x, y []float32, lo, hi int) {
 	// The vector kernel is mul+add per element — bit-identical to this
-	// loop (amd64 Go never fuses into FMA), so the ISA does not affect
-	// optimizer arithmetic.
+	// loop on amd64, where Go never fuses into FMA, so the ISA does not
+	// affect optimizer arithmetic. (GOARCH=arm64 may fuse this loop.)
 	if simdAxpy(alpha, x[lo:hi], y[lo:hi]) {
 		return
 	}
@@ -47,11 +47,12 @@ func scaleRange(alpha float32, x []float32, lo, hi int) {
 	}
 }
 
-// Dot returns the inner product of x and y, accumulated in float64. The
-// vector path keeps the float64 accumulation (each float32 product is
-// exact in float64) but sums in four interleaved lanes, so its result can
-// differ from the scalar order within float64 rounding of the same exact
-// products — deterministic within an ISA, tolerance-exact across ISAs.
+// Dot returns the inner product of x and y, accumulated in float64, with
+// the same bits under every ISA. Each float32 product is exact in float64,
+// so only the summation order matters, and both ISAs use one: below 32
+// elements, in order; from 32 on, dotAVX2's eight lanes — lane l sums
+// elements 8i+l — reduced as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), then
+// the n mod 8 tail in order.
 func Dot(x, y []float32) float64 {
 	if len(x) != len(y) {
 		panic("tensor: Dot length mismatch")
@@ -60,24 +61,28 @@ func Dot(x, y []float32) float64 {
 		return sum
 	}
 	var sum float64
-	for i := range x {
+	m := 0
+	if len(x) >= 32 {
+		var l [8]float64
+		m = len(x) &^ 7
+		for i := 0; i < m; i += 8 {
+			xi, yi := (*[8]float32)(x[i:]), (*[8]float32)(y[i:])
+			for j := range l {
+				l[j] += float64(xi[j]) * float64(yi[j])
+			}
+		}
+		sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
+	}
+	for i := m; i < len(x); i++ {
 		sum += float64(x[i]) * float64(y[i])
 	}
 	return sum
 }
 
 // L2Norm returns the Euclidean norm of x, accumulated in float64 for
-// stability (LARC depends on accurate norms of large weight tensors).
-func L2Norm(x []float32) float64 {
-	if sum, ok := simdDot(x, x); ok {
-		return math.Sqrt(sum)
-	}
-	var sum float64
-	for _, v := range x {
-		sum += float64(v) * float64(v)
-	}
-	return math.Sqrt(sum)
-}
+// stability (LARC depends on accurate norms of large weight tensors), in
+// Dot's order.
+func L2Norm(x []float32) float64 { return math.Sqrt(Dot(x, x)) }
 
 // Sum returns the sum of all elements, accumulated in float64.
 func Sum(x []float32) float64 {

@@ -42,8 +42,7 @@ func noiseAt(off, n int) []float32 { return noise[off : off+n : off+n] }
 // shape hits it exactly) and above the gate of 2·fanoutChunkWork. The
 // scalar leg carries every kernel; the AVX2 leg repeats only those with a
 // vector path of their own (the copies and the eager ops run the same code
-// under both, and under AVX2 only single-row products reach gemmSmall,
-// which one row never splits).
+// under both).
 func gatedCases(scalar bool) []gatedCase {
 	const gate = 2 * fanoutChunkWork
 	var cases []gatedCase
@@ -94,17 +93,6 @@ func gatedCases(scalar bool) []gatedCase {
 			add(fmt.Sprintf("Gemm/blocked/tA%v/tB%v", tA, tB), 2, 2*m*n*k, func() []float32 {
 				c := append([]float32(nil), c0...)
 				Gemm(tA, tB, m, n, k, 0.5, a, lda, b, ldb, 0.25, c, n)
-				return c
-			})
-		}
-	}
-	if scalar {
-		for _, k := range []int{1023, 1024, 1100} {
-			const m, n = 8, 2048
-			a, b := noiseAt(55433, m*k), noiseAt(63352, k*n)
-			add("Gemm/small", m, 2*m*n*k, func() []float32 {
-				c := make([]float32, m*n)
-				Gemm(false, false, m, n, k, 1, a, k, b, n, 0, c, n)
 				return c
 			})
 		}

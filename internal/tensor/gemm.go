@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -19,13 +20,19 @@ const (
 	gemmNC = 2048
 )
 
-// The small-path crossover predicate (GemmUsesSmallPath) and its per-ISA
-// thresholds live in isa.go next to the ISA dispatch they depend on.
-
 // Gemm computes C = alpha*op(A)*op(B) + beta*C for row-major matrices,
 // where op is identity or transpose per transA/transB. A is m×k (after op),
 // B is k×n, C is m×n. This is the workhorse behind the "implicit GEMM"
 // convolution formulation the paper's FLOP accounting assumes.
+//
+// Every element has one numeric definition, so the kernel ISA never changes
+// a bit: within each K block of 256 steps, acc is an in-order chain of
+// float32 fused multiply-adds over p starting from +0 (the AVX2 kernel's
+// VFMADD231PS, the scalar kernel's fma32); the blocks are applied to C in
+// order, the first as C = alpha*acc (beta == 0) or C = beta*C + alpha*acc,
+// each later one as C += alpha*acc, every product and sum there rounded
+// separately. No product of A and B is skipped because a factor is zero,
+// so 0·Inf gives NaN on every shape; alpha == 0, as in BLAS, only scales C.
 //
 // Beta scaling is folded into the compute tiles (no separate pass over C),
 // and with beta == 0 the previous contents of C are never read, so C may be
@@ -38,18 +45,6 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
 	}
 	if alpha == 0 || k == 0 {
 		gemmScaleC(beta, m, n, c, ldc)
-		return
-	}
-	// The packed path pays for its panel traffic only when the panels are
-	// reused enough: a skinny M (few C rows per packed B) or a shallow K
-	// (few micro-kernel steps per packed element) makes packing a net loss,
-	// as does a small problem overall.
-	// The small path is always the scalar reference kernels, under every
-	// ISA: ConvGemm's direct convolution mirrors gemmSmallRows
-	// term-for-term and relies on bit-identical results for small shapes.
-	// Only the blocked path below dispatches to the AVX2 micro-kernels.
-	if GemmUsesSmallPath(m, n, k) {
-		gemmSmall(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
 	gemmBlocked(ActiveISA() == ISAAVX2, transA, m, n, k, alpha, a, lda,
@@ -103,159 +98,7 @@ func gemmScaleC(beta float32, m, n int, c []float32, ldc int) {
 	})
 }
 
-// ---------- small path: serial single-pass kernels ----------
-
-// gemmSmall handles shapes the packed path cannot amortize: unblocked
-// row-wise kernels with beta folded into the row/tile updates, fanned out
-// over rows when skinny but large.
-func gemmSmall(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
-	b []float32, ldb int, beta float32, c []float32, ldc int) {
-	if chunks := fanout(m, 2*m*n*k); chunks > 1 {
-		parallelFor(m, chunks, func(lo, hi int) {
-			gemmSmallRows(transA, transB, lo, hi, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-		})
-		return
-	}
-	gemmSmallRows(transA, transB, 0, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-// gemmSmallRows computes C rows [lo, hi).
-func gemmSmallRows(transA, transB bool, lo, hi, n, k int, alpha float32, a []float32, lda int,
-	b []float32, ldb int, beta float32, c []float32, ldc int) {
-	switch {
-	case !transB:
-		// Axpy form over rows of B, register-blocked 4 B-rows deep: each
-		// pass streams four B rows against one C row, quartering the C
-		// load/store traffic. The C row is beta-scaled once, in cache.
-		for i := lo; i < hi; i++ {
-			ci := c[i*ldc : i*ldc+n]
-			scaleRow(ci, beta)
-			p := 0
-			for ; p+3 < k; p += 4 {
-				var a0, a1, a2, a3 float32
-				if transA {
-					a0 = alpha * a[p*lda+i]
-					a1 = alpha * a[(p+1)*lda+i]
-					a2 = alpha * a[(p+2)*lda+i]
-					a3 = alpha * a[(p+3)*lda+i]
-				} else {
-					a0 = alpha * a[i*lda+p]
-					a1 = alpha * a[i*lda+p+1]
-					a2 = alpha * a[i*lda+p+2]
-					a3 = alpha * a[i*lda+p+3]
-				}
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				b0 := b[p*ldb : p*ldb+n]
-				b1 := b[(p+1)*ldb : (p+1)*ldb+n]
-				b2 := b[(p+2)*ldb : (p+2)*ldb+n]
-				b3 := b[(p+3)*ldb : (p+3)*ldb+n]
-				for j := range ci {
-					ci[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				var ap float32
-				if transA {
-					ap = alpha * a[p*lda+i]
-				} else {
-					ap = alpha * a[i*lda+p]
-				}
-				if ap == 0 {
-					continue
-				}
-				bp := b[p*ldb : p*ldb+n]
-				for j, bv := range bp {
-					ci[j] += ap * bv
-				}
-			}
-		}
-	case !transA:
-		// Dot form (B stored n×k). Four B rows are streamed per pass so the
-		// A row is loaded once per step, and the four running sums form
-		// independent FP-add chains (a single-accumulator dot is
-		// latency-bound); the tail uses a 4-way unrolled single dot.
-		for i := lo; i < hi; i++ {
-			ai := a[i*lda : i*lda+k]
-			ci := c[i*ldc : i*ldc+n]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				b0 := b[j*ldb : j*ldb+k]
-				b1 := b[(j+1)*ldb : (j+1)*ldb+k]
-				b2 := b[(j+2)*ldb : (j+2)*ldb+k]
-				b3 := b[(j+3)*ldb : (j+3)*ldb+k]
-				var s0, s1, s2, s3 float32
-				for p, av := range ai {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-				ci[j] = betaTimes(beta, ci[j]) + alpha*s0
-				ci[j+1] = betaTimes(beta, ci[j+1]) + alpha*s1
-				ci[j+2] = betaTimes(beta, ci[j+2]) + alpha*s2
-				ci[j+3] = betaTimes(beta, ci[j+3]) + alpha*s3
-			}
-			for ; j < n; j++ {
-				bj := b[j*ldb : j*ldb+k]
-				ci[j] = betaTimes(beta, ci[j]) + alpha*dot4(ai, bj, k)
-			}
-		}
-	default:
-		// Aᵀ·Bᵀ: dot over strided A column and contiguous B row.
-		for i := lo; i < hi; i++ {
-			ci := c[i*ldc : i*ldc+n]
-			for j := 0; j < n; j++ {
-				bj := b[j*ldb : j*ldb+k]
-				var sum float32
-				for p := 0; p < k; p++ {
-					sum += a[p*lda+i] * bj[p]
-				}
-				ci[j] = betaTimes(beta, ci[j]) + alpha*sum
-			}
-		}
-	}
-}
-
-// dot4 is a 4-accumulator float32 dot product over x[:k], y[:k].
-func dot4(x, y []float32, k int) float32 {
-	var s0, s1, s2, s3 float32
-	p := 0
-	for ; p+3 < k; p += 4 {
-		s0 += x[p] * y[p]
-		s1 += x[p+1] * y[p+1]
-		s2 += x[p+2] * y[p+2]
-		s3 += x[p+3] * y[p+3]
-	}
-	for ; p < k; p++ {
-		s0 += x[p] * y[p]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// betaTimes returns beta*v without reading v when beta is zero, so C may
-// hold uninitialized pool memory (including NaNs) under beta==0 semantics.
-func betaTimes(beta, v float32) float32 {
-	if beta == 0 {
-		return 0
-	}
-	return beta * v
-}
-
-func scaleRow(row []float32, beta float32) {
-	switch beta {
-	case 1:
-	case 0:
-		clear(row)
-	default:
-		for j := range row {
-			row[j] *= beta
-		}
-	}
-}
-
-// ---------- blocked path: packed panels + register micro-kernel ----------
+// ---------- packed panels + register micro-kernel ----------
 
 // panelSlots is the free list of GEMM packing panels: a fixed array of
 // slots, each empty or holding one idle panel. Every concurrent executor —
@@ -431,29 +274,53 @@ func (g gemmBlock) run(blo, bhi int) {
 }
 
 // gemmMicro computes one MR×NR register tile: acc = Ap·Bp over kc packed
-// steps, then writes C[:mEdge,:nEdge] under the epilogue mode.
+// steps as one fma32 chain per element, then writes C[:mEdge,:nEdge] under
+// the epilogue mode. fma32's common case is spelled out in the loop — a
+// float64 sum that is no float32 tie converts directly — and a column with
+// a tie takes fma32 itself.
 func gemmMicro(kc int, ap, bp []float32, alpha, beta float32, mode int,
 	c []float32, ldc, mEdge, nEdge int) {
 	var acc [gemmMR * gemmNR]float32
 	for p := 0; p < kc; p++ {
 		av := (*[gemmMR]float32)(ap[p*gemmMR:])
 		bv := (*[gemmNR]float32)(bp[p*gemmNR:])
-		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+		a0, a1, a2, a3 := float64(av[0]), float64(av[1]), float64(av[2]), float64(av[3])
 		for j := 0; j < gemmNR; j++ {
-			bj := bv[j]
-			acc[0*gemmNR+j] += a0 * bj
-			acc[1*gemmNR+j] += a1 * bj
-			acc[2*gemmNR+j] += a2 * bj
-			acc[3*gemmNR+j] += a3 * bj
+			bj := float64(bv[j])
+			s0 := a0*bj + float64(acc[0*gemmNR+j])
+			s1 := a1*bj + float64(acc[1*gemmNR+j])
+			s2 := a2*bj + float64(acc[2*gemmNR+j])
+			s3 := a3*bj + float64(acc[3*gemmNR+j])
+			if f32Tie(s0) || f32Tie(s1) || f32Tie(s2) || f32Tie(s3) {
+				for i := range gemmMR {
+					acc[i*gemmNR+j] = fma32(av[i], bv[j], acc[i*gemmNR+j])
+				}
+				continue
+			}
+			acc[0*gemmNR+j] = float32(s0)
+			acc[1*gemmNR+j] = float32(s1)
+			acc[2*gemmNR+j] = float32(s2)
+			acc[3*gemmNR+j] = float32(s3)
 		}
 	}
+	gemmEpilogue(acc[:], gemmNR, alpha, beta, mode, c, ldc, mEdge, nEdge)
+}
+
+// gemmEpilogue applies the alpha/beta epilogue to the live mEdge×nEdge
+// corner of a raw register tile whose rows are nr floats apart: the
+// scalar tiles, the AVX2 edge tiles, and — row for row — the assembly
+// epilogue, which multiplies and adds with separate roundings. The
+// explicit float32 conversions keep a compiler that fuses (GOARCH=arm64)
+// from turning a product and its sum into one FMA.
+func gemmEpilogue(acc []float32, nr int, alpha, beta float32, mode int,
+	c []float32, ldc, mEdge, nEdge int) {
 	for i := 0; i < mEdge; i++ {
 		ci := c[i*ldc : i*ldc+nEdge]
-		accRow := acc[i*gemmNR:]
+		accRow := acc[i*nr : i*nr+nEdge]
 		switch mode {
 		case 0:
 			for j := range ci {
-				ci[j] += alpha * accRow[j]
+				ci[j] += float32(alpha * accRow[j])
 			}
 		case 1:
 			for j := range ci {
@@ -461,10 +328,48 @@ func gemmMicro(kc int, ap, bp []float32, alpha, beta float32, mode int,
 			}
 		default:
 			for j := range ci {
-				ci[j] = beta*ci[j] + alpha*accRow[j]
+				ci[j] = float32(beta*ci[j]) + float32(alpha*accRow[j])
 			}
 		}
 	}
+}
+
+// fma32 returns a·b + c rounded once to float32, as one lane of a hardware
+// FMA does, in portable Go. The float64 product of two float32s is exact,
+// so the float64 sum s is the exact sum rounded once; unless f32Tie(s),
+// float32(s) is then the correctly rounded result. A tie is settled by
+// rounding to odd: TwoSum gives the exact error e of s, and an inexact,
+// even s steps one float64 ulp toward the exact sum. Rounding to odd at
+// more than float32's 24 bits plus two, then to float32, rounds the exact
+// sum correctly (Boldo & Melquiond, "Emulation of FMA and correctly
+// rounded sums: proved algorithms using rounding to odd", IEEE TC 57(4),
+// 2008). A compiler may fuse the exact product into an addition without
+// changing any of these results.
+func fma32(a, b, c float32) float32 {
+	p := float64(a) * float64(b)
+	s := p + float64(c)
+	if !f32Tie(s) {
+		return float32(s)
+	}
+	t := s - p
+	if e := (p - (s - t)) + (float64(c) - t); e != 0 {
+		if u := math.Float64bits(s); u&1 == 0 {
+			// Same signs: the exact sum lies beyond s, so step away from zero.
+			s = math.Float64frombits(u + 1 - 2*((math.Float64bits(e)^u)>>63))
+		}
+	}
+	return float32(s)
+}
+
+// f32Tie reports whether converting the float64 s to float32 might round
+// differently from rounding the exact value s approximates. Rounding is
+// monotone and float32's midpoints are float64 values, so that needs s to
+// lie on a midpoint: in float32's normal range, low 29 mantissa bits of
+// 1<<28; below it, where midpoints have fewer trailing zeros, any nonzero
+// s is reported. Infinities are not.
+func f32Tie(s float64) bool {
+	u := math.Float64bits(s)
+	return u&(1<<29-1) == 1<<28 || u<<1-1 < (1023-126)<<53-1
 }
 
 // packA copies rows [i0, i0+mcEff) × cols [pc, pc+kcEff) of op(A) into

@@ -6,10 +6,10 @@ package tensor
 // non-amd64 builds ActiveISA() never resolves to ISAAVX2, so runAVX2 is
 // unreachable (the simdGemmTile stubs panic to keep that invariant loud).
 //
-// Both the assembly epilogue and the Go edge epilogue use the same
-// mul-then-add rounding, so full tiles and masked edge tiles are
-// bit-consistent with each other; only the K-loop FMA chains reassociate
-// relative to the scalar kernel (≤4·ULP per accumulation chain).
+// Its K loop is the FMA chain gemmMicro emulates with fma32, and both the
+// assembly epilogue and the Go edge epilogue (gemmEpilogue) multiply, then
+// add, so full tiles, masked edge tiles and the scalar kernel's tiles all
+// agree bit for bit.
 
 // runAVX2 packs and multiplies M blocks [blo, bhi) with the 6×16 kernel.
 func (g gemmBlock) runAVX2(blo, bhi int, aPanel []float32) {
@@ -32,33 +32,8 @@ func (g gemmBlock) runAVX2(blo, bhi int, aPanel []float32) {
 					// the dead lanes hold zeros and the epilogue simply
 					// writes the live region.
 					simdGemmTileAcc(g.kcEff, aStrip, bStrip, &acc)
-					gemmEdgeAVX2(&acc, g.alpha, g.beta, g.mode, cTile, g.ldc, mEdge, nEdge)
+					gemmEpilogue(acc[:], avxNR, g.alpha, g.beta, g.mode, cTile, g.ldc, mEdge, nEdge)
 				}
-			}
-		}
-	}
-}
-
-// gemmEdgeAVX2 applies the alpha/beta epilogue to the live mEdge×nEdge
-// corner of a raw 6×16 accumulator — the same mul-then-add rounding as the
-// assembly epilogue rows.
-func gemmEdgeAVX2(acc *[avxMR * avxNR]float32, alpha, beta float32, mode int,
-	c []float32, ldc, mEdge, nEdge int) {
-	for i := 0; i < mEdge; i++ {
-		ci := c[i*ldc : i*ldc+nEdge]
-		accRow := acc[i*avxNR : i*avxNR+nEdge]
-		switch mode {
-		case 0:
-			for j := range ci {
-				ci[j] += alpha * accRow[j]
-			}
-		case 1:
-			for j := range ci {
-				ci[j] = alpha * accRow[j]
-			}
-		default:
-			for j := range ci {
-				ci[j] = beta*ci[j] + alpha*accRow[j]
 			}
 		}
 	}

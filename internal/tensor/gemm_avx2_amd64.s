@@ -16,9 +16,9 @@
 // zero-pads the panels, so lanes beyond the edge hold zeros and the Go
 // code simply writes the mEdge×nEdge region). The epilogues use
 // VMULPS+VADDPS — never FMA — so a full tile and an edge tile round their
-// epilogue arithmetic identically; only the K-loop FMA chains reassociate
-// relative to the scalar reference (the documented ≤4·ULP-per-chain
-// contract).
+// epilogue arithmetic identically. Each accumulator lane is one in-order
+// FMA chain from +0 over the K block, which the scalar kernel reproduces
+// with an exact fma32: the two ISAs agree bit for bit.
 
 // K-accumulation loop shared by both kernels: CX = kc, SI = ap, DI = bp.
 // Clobbers Y12..Y15, leaves the tile in Y0..Y11. The gklp/gkdone labels

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,42 +125,3 @@ func BenchmarkConvWeightGrad(b *testing.B) {
 
 func BenchmarkGemmBig(b *testing.B)  { benchGemm(b, 256, 512, 512) }
 func BenchmarkGemmTiny(b *testing.B) { benchGemm(b, 8, 256, 72) }
-
-// BenchmarkGemmCrossover times the small (scalar axpy) kernel against the
-// blocked AVX2 kernel on the same shape, bypassing dispatch — the data
-// behind the gemmSmallMNKAVX2 threshold in isa.go. Run with
-// -bench GemmCrossover to re-derive the crossover on new hardware.
-func BenchmarkGemmCrossover(b *testing.B) {
-	if ActiveISA() != ISAAVX2 {
-		b.Skip("AVX2 kernels unavailable or disabled")
-	}
-	for _, tc := range []struct{ m, n, k int }{
-		{12, 16, 16}, {12, 32, 32}, {16, 32, 16}, {16, 64, 16},
-		{24, 32, 32}, {16, 64, 32}, {32, 64, 16}, {32, 64, 32},
-		{48, 64, 48}, {64, 128, 32},
-	} {
-		a := make([]float32, tc.m*tc.k)
-		bb := make([]float32, tc.k*tc.n)
-		c := make([]float32, tc.m*tc.n)
-		for i := range a {
-			a[i] = float32(i%7) - 3
-		}
-		for i := range bb {
-			bb[i] = float32(i%5) - 2
-		}
-		flops := float64(2 * tc.m * tc.n * tc.k)
-		name := fmt.Sprintf("m%dn%dk%d_mnk%d", tc.m, tc.n, tc.k, tc.m*tc.n*tc.k)
-		b.Run(name+"/small", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gemmSmall(false, false, tc.m, tc.n, tc.k, 1, a, tc.k, bb, tc.n, 0, c, tc.n)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-		b.Run(name+"/blocked", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gemmBlocked(true, false, tc.m, tc.n, tc.k, 1, a, tc.k, bSource{b: bb, ldb: tc.n}, 0, c, tc.n)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-	}
-}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,12 +9,9 @@ import (
 	"repro/internal/simd"
 )
 
-// Kernel parity suite for the AVX2 GEMM micro-kernels. The precision
-// contract: each C element is one accumulation chain; the vector kernel
-// may reassociate it but must stay within 4·ULP of the exact (float64)
-// chain, where the ULP scale is the chain's magnitude Σ|a|·|b| (+ the
-// beta·C term). INT8 and pure elementwise kernels have no tolerance at
-// all — they must be bit-identical across ISAs.
+// Kernel parity suite for the AVX2 kernels. The precision contract has no
+// tolerance: every kernel — GEMM, Dot and L2Norm included — must give the
+// same bits under the scalar and the AVX2 ISA.
 
 func withISA(t *testing.T, isa KernelISA) func() {
 	t.Helper()
@@ -24,88 +22,73 @@ func withISA(t *testing.T, isa KernelISA) func() {
 	return func() { SetKernelISA(prev) }
 }
 
-// refGemmBound computes the float64 reference result and a per-element
-// error budget: 4·eps32 scaled by the chain magnitude.
-func refGemmBound(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int,
-	b []float32, ldb int, beta float32, c0 []float32, ldc int) (ref, bound []float64) {
-	const eps32 = 1.0 / (1 << 23)
-	ref = make([]float64, m*n)
-	bound = make([]float64, m*n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var sum, mag float64
-			for p := 0; p < k; p++ {
-				var av, bv float64
-				if transA {
-					av = float64(a[p*lda+i])
-				} else {
-					av = float64(a[i*lda+p])
-				}
-				if transB {
-					bv = float64(b[j*ldb+p])
-				} else {
-					bv = float64(b[p*ldb+j])
-				}
-				sum += av * bv
-				mag += math.Abs(av * bv)
-			}
-			sum *= float64(alpha)
-			mag *= math.Abs(float64(alpha))
-			if beta != 0 {
-				prev := float64(beta) * float64(c0[i*ldc+j])
-				sum += prev
-				mag += math.Abs(prev)
-			}
-			ref[i*n+j] = sum
-			// 4 ULP per accumulation chain, plus one rounding of the result
-			// itself and an absolute floor for near-cancellation.
-			bound[i*n+j] = 4*eps32*mag + eps32*math.Abs(sum) + 1e-30
+// sameBitsAcrossISAs fails t unless the scalar and AVX2 results agree bit
+// for bit.
+func sameBitsAcrossISAs(t *testing.T, what string, scalar, avx2 []float32) {
+	t.Helper()
+	for i := range scalar {
+		if math.Float32bits(scalar[i]) != math.Float32bits(avx2[i]) {
+			t.Fatalf("%s: [%d] scalar %v (%#x), avx2 %v (%#x)", what, i,
+				scalar[i], math.Float32bits(scalar[i]), avx2[i], math.Float32bits(avx2[i]))
 		}
 	}
-	return ref, bound
 }
 
-// TestGemmAVX2KernelParity exercises the blocked AVX2 path directly
-// (bypassing the small-path dispatch) on every edge-tile geometry
-// m, n ∈ {1..2·MR, 1..2·NR} for all four transpose variants and both beta
-// classes, checking the ≤4·ULP-per-chain contract against the float64
-// reference. K values cover sub-quad tails, strip widths, and a multi-K
-// cache-block case.
+// gemmUnderISA runs Gemm under isa on a copy of c and returns it.
+func gemmUnderISA(t *testing.T, isa KernelISA, transA, transB bool, m, n, k int, alpha float32,
+	a []float32, lda int, b []float32, ldb int, beta float32, c []float32) []float32 {
+	defer withISA(t, isa)()
+	c = append([]float32(nil), c...)
+	Gemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, n)
+	return c
+}
+
+// TestGemmAVX2KernelParity checks that Gemm gives the same bits under the
+// scalar 4×8 kernel and the AVX2 6×16 kernel: every edge-tile geometry
+// m ∈ 1..2·6, n ∈ 1..2·16+1 (so m mod 4 or 6 and n mod 8 or 16 are
+// nonzero), all four transpose variants, and the three epilogue modes —
+// β = 0 (mode 1) and β ≠ 0 (mode 2) on the first K block, and with
+// k = 259 a second K block that accumulates (mode 0). Three larger shapes
+// add M blocks of both kernels' sizes (128 and 144 rows), a second N block
+// and three K blocks.
 func TestGemmAVX2KernelParity(t *testing.T) {
-	restore := withISA(t, ISAAVX2)
-	defer restore()
+	if !simd.HasAVX2() {
+		t.Skip("AVX2 unavailable")
+	}
 	rng := rand.New(rand.NewSource(41))
 	kvals := []int{1, 2, 5, 8, 16, avxKC + 3}
 	if testing.Short() {
-		kvals = []int{1, 5, 16}
+		kvals = []int{1, 5, avxKC + 3}
 	}
-	for _, trans := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-		transA, transB := trans[0], trans[1]
-		for m := 1; m <= 2*avxMR; m++ {
-			for n := 1; n <= 2*avxNR; n += 3 {
-				for _, k := range kvals {
-					for _, ab := range [][2]float32{{1, 0}, {-1.5, 0.75}} {
-						alpha, beta := ab[0], ab[1]
-						lda, ldb := k, n
-						if transA {
-							lda = m
-						}
-						if transB {
-							ldb = k
-						}
-						a := randomSlice(rng, m*k)
-						b := randomSlice(rng, k*n)
-						c := randomSlice(rng, m*n)
-						ref, bound := refGemmBound(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, n)
-						gemmBlocked(true, transA, m, n, k, alpha, a, lda, bSource{transB: transB, b: b, ldb: ldb}, beta, c, n)
-						for i := range ref {
-							if diff := math.Abs(float64(c[i]) - ref[i]); diff > bound[i] {
-								t.Fatalf("tA=%v tB=%v m=%d n=%d k=%d α=%g β=%g: C[%d]=%g ref=%g diff=%g > bound %g",
-									transA, transB, m, n, k, alpha, beta, i, c[i], ref[i], diff, bound[i])
-							}
-						}
-					}
+	type shape struct{ m, n, k int }
+	var shapes []shape
+	for m := 1; m <= 2*avxMR; m++ {
+		for n := 1; n <= 2*avxNR+1; n += 2 {
+			for _, k := range kvals {
+				shapes = append(shapes, shape{m, n, k})
+			}
+		}
+	}
+	shapes = append(shapes, shape{150, 2060, 40}, shape{130, 40, 3*avxKC - 7}, shape{289, 70, 64})
+	for _, sh := range shapes {
+		m, n, k := sh.m, sh.n, sh.k
+		for _, trans := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			transA, transB := trans[0], trans[1]
+			for _, ab := range [][2]float32{{1, 0}, {-1.5, 0.75}, {0.5, 1}} {
+				alpha, beta := ab[0], ab[1]
+				lda, ldb := k, n
+				if transA {
+					lda = m
 				}
+				if transB {
+					ldb = k
+				}
+				a := randomSlice(rng, m*k)
+				b := randomSlice(rng, k*n)
+				c := randomSlice(rng, m*n)
+				sameBitsAcrossISAs(t, fmt.Sprintf("tA=%v tB=%v m=%d n=%d k=%d α=%g β=%g", transA, transB, m, n, k, alpha, beta),
+					gemmUnderISA(t, ISAScalar, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c),
+					gemmUnderISA(t, ISAAVX2, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c))
 			}
 		}
 	}
@@ -130,10 +113,9 @@ func TestGemmAVX2ZeroDims(t *testing.T) {
 	}
 }
 
-// TestGemmWithinISADeterminism: the bit-exact-resume contract pins one ISA
-// per run; under a pinned ISA, repeated identical GEMMs must produce
-// bit-identical output (no data races, no nondeterministic reduction
-// order from the worker pool).
+// TestGemmWithinISADeterminism: under each ISA, repeated identical GEMMs
+// at four workers must produce bit-identical output (no data races, no
+// nondeterministic reduction order from the worker pool).
 func TestGemmWithinISADeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, n, k := 37, 53, avxKC+9
@@ -293,29 +275,31 @@ func TestTransposeISAParity(t *testing.T) {
 	}
 }
 
-// TestDotISAParity: the vector Dot keeps float64 accumulation, so the two
-// ISAs agree to float64 rounding of the same exact products — a 1-ulp-ish
-// relative tolerance, far tighter than any float32 epsilon.
+// TestDotISAParity: Dot and L2Norm sum in one order under both ISAs, so
+// they agree bit for bit — below the vector path's 32-element floor, at
+// it, with every tail length, and long.
 func TestDotISAParity(t *testing.T) {
 	if !simd.HasAVX2() {
 		t.Skip("AVX2 unavailable")
 	}
 	rng := rand.New(rand.NewSource(37))
-	for _, n := range []int{31, 32, 33, 1000, 4096} {
+	sizes := []int{1000, 4096}
+	for n := 0; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
 		x := randomSlice(rng, n)
 		y := randomSlice(rng, n)
 		restore := withISA(t, ISAAVX2)
-		got := Dot(x, y)
-		gotN := L2Norm(x)
+		got, gotN := Dot(x, y), L2Norm(x)
 		restore()
 		restore = withISA(t, ISAScalar)
-		want := Dot(x, y)
-		wantN := L2Norm(x)
+		want, wantN := Dot(x, y), L2Norm(x)
 		restore()
-		if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Dot n=%d: avx2 %.17g scalar %.17g", n, got, want)
 		}
-		if math.Abs(gotN-wantN) > 1e-12*(1+wantN) {
+		if math.Float64bits(gotN) != math.Float64bits(wantN) {
 			t.Fatalf("L2Norm n=%d: avx2 %.17g scalar %.17g", n, gotN, wantN)
 		}
 	}

@@ -47,8 +47,8 @@ func randomSlice(rng *rand.Rand, n int) []float32 {
 // TestGemmMatchesNaiveReference is the property test of the blocked GEMM:
 // random m/n/k (including 0-dim edges), all four transpose combinations,
 // and a spread of alpha/beta values, compared elementwise against the
-// triple-loop reference. Sizes straddle the small/blocked threshold so both
-// kernels are exercised.
+// triple-loop reference. Sizes cover one- and many-tile shapes under the
+// active kernel.
 func TestGemmMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dims := func() int {
@@ -173,4 +173,83 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestGemmPropagatesNonFinite: a zero times an infinity is NaN, and no
+// route may skip the product because one factor is zero — FP16 overflow
+// detection (ScaleAllFinite) relies on non-finite values propagating. A
+// zero A against a B holding one Inf must give NaN in that column and +0
+// elsewhere, for tiny shapes (m2n2k2, a single row), mid-size and
+// many-tile ones, under every transpose and both ISAs. ConvGemm with a zero filter over an
+// image holding one Inf pixel must give NaN at every output whose window
+// covers the pixel.
+func TestGemmPropagatesNonFinite(t *testing.T) {
+	inf := float32(math.Inf(1))
+	wsp := NewWorkspace(NewPool())
+	forEachISA(t, func(t *testing.T) {
+		for _, sh := range []struct{ m, n, k int }{
+			{2, 2, 2}, {4, 8, 8}, {1, 64, 16}, {8, 64, 64}, {32, 32, 32}, {64, 64, 128},
+		} {
+			m, n, k := sh.m, sh.n, sh.k
+			p0, j0 := k/2, n-1
+			for v := 0; v < 4; v++ {
+				transA, transB := v&1 != 0, v&2 != 0
+				lda, ldb := k, n
+				if transA {
+					lda = m
+				}
+				b := make([]float32, k*n)
+				for i := range b {
+					b[i] = 1
+				}
+				if transB {
+					ldb = k
+					b[j0*ldb+p0] = inf
+				} else {
+					b[p0*ldb+j0] = inf
+				}
+				c := make([]float32, m*n)
+				Gemm(transA, transB, m, n, k, 1, make([]float32, m*k), lda, b, ldb, 0, c, n)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						if got := c[i*n+j]; (j == j0) != math.IsNaN(float64(got)) || j != j0 && got != 0 {
+							t.Fatalf("m%dn%dk%d tA=%v tB=%v: C[%d,%d] = %v; want NaN in column %d, 0 elsewhere",
+								m, n, k, transA, transB, i, j, got, j0)
+						}
+					}
+				}
+			}
+		}
+		for _, tc := range []struct {
+			g         ConvGeom
+			cin, cout int
+		}{
+			{ConvGeom{InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, DilH: 1, DilW: 1}, 1, 1},
+			{ConvGeom{InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, DilH: 1, DilW: 1}, 3, 4},
+			{ConvGeom{InH: 9, InW: 9, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, DilH: 1, DilW: 1}, 2, 3},
+		} {
+			g, cols, k := tc.g, tc.g.OutH()*tc.g.OutW(), tc.cin*tc.g.KH*tc.g.KW
+			x := make([]float32, tc.cin*g.InH*g.InW)
+			for i := range x {
+				x[i] = 1
+			}
+			x[len(x)/2] = inf
+			col := make([]float32, k*cols)
+			Im2col(x, tc.cin, g, col)
+			out := make([]float32, tc.cout*cols)
+			ConvGemm(make([]float32, tc.cout*k), tc.cout, x, tc.cin, g, out, wsp)
+			for j := 0; j < cols; j++ {
+				covered := false
+				for p := 0; p < k; p++ {
+					covered = covered || math.IsInf(float64(col[p*cols+j]), 0)
+				}
+				for i := 0; i < tc.cout; i++ {
+					if got := out[i*cols+j]; covered != math.IsNaN(float64(got)) || !covered && got != 0 {
+						t.Fatalf("%s cin=%d cout=%d: out[%d, %d] = %v; window covers the Inf: %v",
+							geomName(g), tc.cin, tc.cout, i, j, got, covered)
+					}
+				}
+			}
+		}
+	})
 }

@@ -6,21 +6,6 @@ import (
 	"repro/internal/simd"
 )
 
-func TestParseISARoundTrip(t *testing.T) {
-	for _, isa := range []KernelISA{ISAAuto, ISAScalar, ISAAVX2} {
-		got, err := ParseISA(isa.String())
-		if err != nil || got != isa {
-			t.Fatalf("ParseISA(%q) = %v, %v", isa.String(), got, err)
-		}
-	}
-	if _, err := ParseISA("sse9"); err == nil {
-		t.Fatal("ParseISA accepted garbage")
-	}
-	if isa, err := ParseISA(""); err != nil || isa != ISAAuto {
-		t.Fatalf("ParseISA(\"\") = %v, %v; want auto", isa, err)
-	}
-}
-
 func TestSetKernelISA(t *testing.T) {
 	orig := ActiveISA()
 	defer SetKernelISA(orig)
@@ -52,38 +37,6 @@ func TestSetKernelISA(t *testing.T) {
 	}
 }
 
-// TestGemmUsesSmallPathISAAware: the dispatch predicate must follow the
-// active ISA — ConvGemm picks its route off it, and a mismatch with
-// Gemm's real dispatch would silently break the conv-vs-im2col bit-parity
-// contract.
-func TestGemmUsesSmallPathISAAware(t *testing.T) {
-	orig := ActiveISA()
-	defer SetKernelISA(orig)
-
-	SetKernelISA(ISAScalar)
-	// Mid-size shape: small under the scalar crossover (2¹⁸), blocked
-	// under the AVX2 one (2¹⁰).
-	if !GemmUsesSmallPath(32, 32, 32) {
-		t.Fatal("32³ should be small-path under the scalar ISA")
-	}
-	// Single-row products stay on the small path under every ISA.
-	if !GemmUsesSmallPath(1, 4096, 4096) {
-		t.Fatal("m=1 should be small-path under the scalar ISA")
-	}
-	if simd.HasAVX2() {
-		SetKernelISA(ISAAVX2)
-		if GemmUsesSmallPath(32, 32, 32) {
-			t.Fatal("32³ should be blocked under the AVX2 ISA")
-		}
-		if !GemmUsesSmallPath(1, 4096, 4096) {
-			t.Fatal("m=1 should be small-path under the AVX2 ISA")
-		}
-		if !GemmUsesSmallPath(4, 8, 8) {
-			t.Fatal("tiny shapes should be small-path under the AVX2 ISA")
-		}
-	}
-}
-
 func TestKernelInfo(t *testing.T) {
 	info := Kernel()
 	if info.ISA != ActiveISA().String() {
@@ -91,11 +44,11 @@ func TestKernelInfo(t *testing.T) {
 	}
 	switch ActiveISA() {
 	case ISAAVX2:
-		if info.GemmMR != avxMR || info.GemmNR != avxNR || info.SmallPath != gemmSmallMNKAVX2 {
+		if info.GemmMR != avxMR || info.GemmNR != avxNR {
 			t.Fatalf("AVX2 KernelInfo geometry wrong: %+v", info)
 		}
 	case ISAScalar:
-		if info.GemmMR != gemmMR || info.GemmNR != gemmNR || info.SmallPath != gemmSmallMNKScalar {
+		if info.GemmMR != gemmMR || info.GemmNR != gemmNR {
 			t.Fatalf("scalar KernelInfo geometry wrong: %+v", info)
 		}
 	}

@@ -113,11 +113,8 @@ func simdScaleAllFinite(alpha float32, x []float32) (ok, handled bool) {
 	return ok, true
 }
 
-// simdDot returns Σ float64(x[i])·float64(y[i]) with four-lane f64
-// accumulation. Per-element arithmetic is exact (float32 products are
-// exactly representable in float64); only the summation order differs
-// from the scalar loop, so results agree to f64 rounding of the same
-// exact sum — cross-ISA tolerance, within-ISA determinism.
+// simdDot returns Σ float64(x[i])·float64(y[i]) in eight f64 lanes, in
+// the summation order Dot's scalar path repeats bit for bit.
 func simdDot(x, y []float32) (float64, bool) {
 	n := len(x)
 	if n < 32 || !simd.UseAVX2() {

@@ -3,7 +3,7 @@
 package tensor
 
 // Portable stubs: every dispatch wrapper declines, so all kernels run the
-// scalar reference paths. KernelISA on these platforms only ever resolves
+// scalar paths. KernelISA on these platforms only ever resolves
 // to ISAScalar (simd.HasAVX2 is false off amd64).
 
 func simdGemmTile(kc int, ap, bp []float32, alpha, beta float32, mode int, c []float32, ldc int) {

@@ -4,10 +4,9 @@
 // VMULPS+VADDPS — never FMA — so each element's arithmetic is the exact
 // two-rounding sequence the scalar Go loops perform and the results are
 // BIT-IDENTICAL to the scalar reference (the Go compiler does not fuse
-// mul+add on amd64). Only dotAVX2 reassociates: it accumulates in four
-// float64 lanes, where each float32 product is exactly representable, so
-// the lane arithmetic is exact and only the summation ORDER differs from
-// the scalar reference.
+// mul+add on amd64). dotAVX2 accumulates in eight float64 lanes, where
+// each float32 product is exactly representable; Dot's scalar path sums
+// in the same lanes and the same order, so it is bit-identical too.
 
 // func axpyAVX2(alpha float32, x, y *float32, n int)
 // y[i] += alpha*x[i] for i in [0, n); n is a multiple of 8.
@@ -84,7 +83,8 @@ sfdone:
 // Four-lane float64 accumulation in two chains; every float32 product is
 // exact in float64 (24+24 < 53 mantissa bits), so FMA here rounds once on
 // the add — identical per-element arithmetic to the scalar loop, with a
-// fixed 8-way interleaved summation order.
+// fixed 8-way interleaved summation order that Dot's scalar path repeats:
+// lane l sums elements 8i+l, reduced as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
 TEXT ·dotAVX2(SB), NOSPLIT, $0-32
 	MOVQ x+0(FP), SI
 	MOVQ y+8(FP), DI

@@ -52,7 +52,7 @@ func TestGatedKernelsInlineZeroAlloc(t *testing.T) {
 		"Col2im":       func() { Col2im(cols, c, g, img) },
 		"Gemm/blocked": func() { Gemm(false, false, 32, hw*hw, c*9, 1, w, c*9, cols, hw*hw, 0, out, hw*hw) },
 		"Gemm/bwdData": func() { Gemm(true, false, c*9, hw*hw, 32, 1, w, c*9, out, hw*hw, 0, cols, hw*hw) },
-		"Gemm/small":   func() { Gemm(false, false, 1, hw*hw, c*9, 1, w, c*9, cols, hw*hw, 0, out, hw*hw) },
+		"Gemm/oneRow":  func() { Gemm(false, false, 1, hw*hw, c*9, 1, w, c*9, cols, hw*hw, 0, out, hw*hw) },
 		"GemmInt8":     func() { GemmInt8(32, hw*hw, c*9, wq, scales, colsQ, 1, out) },
 		"Axpy":         func() { Axpy(0.5, cols, cols) },
 		"Scale":        func() { Scale(0.5, cols) },
