@@ -18,11 +18,11 @@ import (
 // every operation's bits keeps these hashes; one that changes
 // floating-point association must restate them, deliberately.
 var goldenSnapshots = map[string]string{
-	"classic_2rank_larc_lag1":       "92a735f9801d0a0065599224cc34126cf6956bf025015aeb796c316153fdf685",
-	"classic_8rank_fp16_hybrid_4x2": "6521a0a948a32fbc5b809c3dc271a89cb3654821b78ddc5576f7adaf5e6520d1",
-	"elastic_4rank_8col":            "cac4c3529ee5aeb8e47ea3763c3c8a81a4723fc7a6877e37f216a984debc09ef",
-	"elastic_8rank_4col_idle":       "f4adf56ffd9531c013a591944cfbd81701fc388aa5a5d334ce9227851b923d47",
-	"easgd_4rank_period2":           "430a7ef2dcebf4733618bf6479ce21c7642d592ddee86352564288e81d91c1cd",
+	"classic_2rank_larc_lag1":       "05ad26758043a183b3406302d21e549f15fd0118dbe9bcca2a7d20ee67269342",
+	"classic_8rank_fp16_hybrid_4x2": "b8a7d66c26bf4ea22e42df96be7ec549f5f8455e44147cda6a37813d01ea6d4e",
+	"elastic_4rank_8col":            "659a2024b074953b19fdaf1ed912eaa12fa00242858a70e2393714d06ec47b7d",
+	"elastic_8rank_4col_idle":       "ef52f884719735ca3cc6066fc43f02592173df9cd1b9a277f927121b7a38b4b9",
+	"easgd_4rank_period2":           "1489edd04c2f1cf323a19b638b7ef261fd72e33d8cefaf80226a9028bd404aa5",
 }
 
 // TestGoldenTrajectory trains the golden runs and compares the hash of each

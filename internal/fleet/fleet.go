@@ -542,9 +542,18 @@ func (f *Fleet) Segment(ctx context.Context, fields *tensor.Tensor) (*tensor.Ten
 		f.mu.RUnlock()
 		return nil, RequestStat{}, ErrClosed
 	}
-	// Pin the weight generation and hold it live until the request retires.
 	f.genMu.Lock()
 	req.gen = f.cur
+	if err := ctx.Err(); err != nil {
+		// Already cancelled: retire unadmitted, before pinning. The admission
+		// select below would pick a ready admitCh over ctx.Done at random.
+		f.genMu.Unlock()
+		f.mu.RUnlock()
+		req.fail(err)
+		req.finish(f, len(tiles))
+		return nil, req.statOut, err
+	}
+	// Pin the weight generation and hold it live until the request retires.
 	req.gen.inflight.Add(1)
 	f.genMu.Unlock()
 	req.swapWin = f.swapActive.Load()

@@ -27,8 +27,11 @@ import (
 //
 // The forward and the backward weight gradient run tensor.ConvGemm and
 // tensor.ConvGemmWeightGrad, which pack their GEMM operands straight from
-// the input image, so the op keeps no state between forward and backward:
-// one instance may be executed by several executors at once.
+// the input image. For stride 1 the data gradient is a convolution too —
+// the incoming gradient convolved with the 180°-rotated, channel-transposed
+// kernel — and runs tensor.ConvGemm; strided convolutions scatter it with
+// tensor.Col2im. The op keeps no state between forward and backward: one
+// instance may be executed by several executors at once.
 type Conv2D struct {
 	Stride, Pad, Dilation int
 
@@ -145,7 +148,12 @@ func (c *Conv2D) Backward(in []*tensor.Tensor, out, gradOut *tensor.Tensor) []*t
 	return c.BackwardScratch(in, out, gradOut, heapWS)
 }
 
-// BackwardScratch implements graph.ScratchOp.
+// BackwardScratch implements graph.ScratchOp. The weight gradient always
+// runs tensor.ConvGemmWeightGrad. The data gradient of a stride-1
+// convolution runs tensor.ConvGemm over the incoming gradient (see
+// dataGradGeom), writing every element of gradX with no per-image panel;
+// strided convolutions, and padding past the kernel's reach, write a k ×
+// cols panel by Gemm and scatter it by Col2im.
 func (c *Conv2D) BackwardScratch(in []*tensor.Tensor, out, gradOut *tensor.Tensor, wsp *tensor.Workspace) []*tensor.Tensor {
 	x, w := in[0], in[1]
 	xs, ws := x.Shape(), w.Shape()
@@ -172,19 +180,63 @@ func (c *Conv2D) BackwardScratch(in []*tensor.Tensor, out, gradOut *tensor.Tenso
 		return []*tensor.Tensor{gradX, gradW}
 	}
 
-	gradX := wsp.NewTensor(xs) // zeroed: Col2im accumulates
 	gradW := wsp.NewTensor(ws) // zeroed: beta=1 accumulation across batch
-	col := wsp.GetF32(k * cols)
+	dg, asConv := dataGradGeom(g)
+	var gradX *tensor.Tensor
+	var buf []float32 // the rotated kernel, or the Col2im route's panel
+	if asConv {
+		// wr[ci, co, KH−1−ky, KW−1−kx] = w[co, ci, ky, kx], built once per
+		// call: the weights change every step, and the op keeps no state.
+		gradX = wsp.NewTensorUninit(xs) // fully written by the beta=0 ConvGemms
+		buf = wsp.GetF32(cout * k)
+		kk := g.KH * g.KW
+		for co := 0; co < cout; co++ {
+			for ci := 0; ci < cin; ci++ {
+				src := w.Data()[(co*cin+ci)*kk : (co*cin+ci+1)*kk]
+				dst := buf[(ci*cout+co)*kk : (ci*cout+co+1)*kk]
+				for t, v := range src {
+					dst[kk-1-t] = v
+				}
+			}
+		}
+	} else {
+		gradX = wsp.NewTensor(xs) // zeroed: Col2im accumulates
+		buf = wsp.GetF32(k * cols)
+	}
 	for b := 0; b < n; b++ {
 		gOut := gradOut.Data()[b*cout*cols : (b+1)*cout*cols]
+		gxb := gradX.Data()[b*imSize : (b+1)*imSize]
 		// Weight gradient: gradW += gOut [Cout,cols] × im2col(x)ᵀ [cols,k].
 		tensor.ConvGemmWeightGrad(gOut, cout, x.Data()[b*imSize:(b+1)*imSize], cin, g, gradW.Data(), wsp)
-		// Data gradient: cols ← wᵀ [k,Cout] × gOut [Cout,cols]; scatter.
-		tensor.Gemm(true, false, k, cols, cout, 1, w.Data(), k, gOut, cols, 0, col, cols)
-		tensor.Col2im(col, cin, g, gradX.Data()[b*imSize:(b+1)*imSize])
+		if asConv {
+			// Data gradient: gradX [Cin, H·W] = wr [Cin, Cout·KH·KW] ⊛ gOut.
+			tensor.ConvGemm(buf, cin, gOut, cout, dg, gxb, wsp)
+		} else {
+			// Data gradient: cols ← wᵀ [k,Cout] × gOut [Cout,cols]; scatter.
+			tensor.Gemm(true, false, k, cols, cout, 1, w.Data(), k, gOut, cols, 0, buf, cols)
+			tensor.Col2im(buf, cin, g, gxb)
+		}
 	}
-	wsp.PutF32(col)
+	wsp.PutF32(buf)
 	return []*tensor.Tensor{gradX, gradW}
+}
+
+// dataGradGeom returns the geometry under which a stride-1 convolution's
+// data gradient is itself a convolution: gOut (OutH × OutW) padded by
+// Dil·(K−1) − Pad per side and swept by the rotated kernel at the same
+// dilation, whose output is exactly InH × InW. ok is false for strided
+// convolutions and for padding past the kernel's reach (Pad > Dil·(K−1)),
+// which keep the Col2im scatter.
+func dataGradGeom(g tensor.ConvGeom) (tensor.ConvGeom, bool) {
+	dg := tensor.ConvGeom{
+		InH: g.OutH(), InW: g.OutW(),
+		KH: g.KH, KW: g.KW,
+		StrideH: 1, StrideW: 1,
+		PadH: g.DilH*(g.KH-1) - g.PadH, PadW: g.DilW*(g.KW-1) - g.PadW,
+		DilH: g.DilH, DilW: g.DilW,
+	}
+	ok := g.StrideH == 1 && g.StrideW == 1 && dg.PadH >= 0 && dg.PadW >= 0
+	return dg, ok
 }
 
 // FwdCost implements graph.Op using the paper's convolution FLOP formula.

@@ -14,9 +14,12 @@ import (
 )
 
 // The reference below is the materialized formulation the training
-// convolutions must reproduce bit for bit: every image expanded by Im2col,
-// multiplied by Gemm, and the data gradient scattered back by Col2im —
-// pointwise convolutions reading the image as the B matrix directly.
+// convolutions must reproduce bit for bit: every image expanded by Im2col
+// and multiplied by Gemm — pointwise convolutions reading the image as the
+// B matrix directly. The data gradient of a stride-1 convolution is the
+// incoming gradient convolved with the rotated kernel (rotatedKernel,
+// rotatedGeom), expanded and multiplied the same way; a strided one, or one
+// padded past the kernel's reach, is a wᵀ·gOut panel scattered by Col2im.
 
 func refConvForward(x, w []float32, n, cin, cout int, g tensor.ConvGeom) []float32 {
 	cols, k := g.OutH()*g.OutW(), cin*g.KH*g.KW
@@ -41,19 +44,121 @@ func refConvBackward(x, w, gOut []float32, n, cin, cout int, g tensor.ConvGeom) 
 	imSize := cin * g.InH * g.InW
 	gx, gw = make([]float32, n*imSize), make([]float32, cout*k)
 	col, dcol := make([]float32, k*cols), make([]float32, k*cols)
+	rg, rotated := rotatedGeom(g)
+	var wr, rcol []float32
+	if rotated {
+		wr = rotatedKernel(w, cin, cout, g.KH, g.KW)
+		rcol = make([]float32, cout*g.KH*g.KW*g.InH*g.InW)
+	}
 	for b := 0; b < n; b++ {
 		xb, gb := x[b*imSize:(b+1)*imSize], gOut[b*cout*cols:(b+1)*cout*cols]
+		gxb := gx[b*imSize : (b+1)*imSize]
 		if pointwise(g) {
 			tensor.Gemm(false, true, cout, k, cols, 1, gb, cols, xb, cols, 1, gw, k)
-			tensor.Gemm(true, false, k, cols, cout, 1, w, k, gb, cols, 0, gx[b*imSize:], cols)
+			tensor.Gemm(true, false, k, cols, cout, 1, w, k, gb, cols, 0, gxb, cols)
 			continue
 		}
 		tensor.Im2col(xb, cin, g, col)
 		tensor.Gemm(false, true, cout, k, cols, 1, gb, cols, col, cols, 1, gw, k)
+		if rotated {
+			rk, rcols := cout*g.KH*g.KW, g.InH*g.InW
+			tensor.Im2col(gb, cout, rg, rcol)
+			tensor.Gemm(false, false, cin, rcols, rk, 1, wr, rk, rcol, rcols, 0, gxb, rcols)
+			continue
+		}
 		tensor.Gemm(true, false, k, cols, cout, 1, w, k, gb, cols, 0, dcol, cols)
-		tensor.Col2im(dcol, cin, g, gx[b*imSize:(b+1)*imSize])
+		tensor.Col2im(dcol, cin, g, gxb)
 	}
 	return gx, gw
+}
+
+// rotatedGeom returns the geometry of a stride-1 convolution's data
+// gradient as a convolution over the incoming gradient: padded by
+// Dil·(K−1) − Pad per side, swept at the same dilation. ok is false where
+// that padding would be negative or the convolution is strided.
+func rotatedGeom(g tensor.ConvGeom) (rg tensor.ConvGeom, ok bool) {
+	rg = tensor.ConvGeom{InH: g.OutH(), InW: g.OutW(), KH: g.KH, KW: g.KW,
+		StrideH: 1, StrideW: 1,
+		PadH: g.DilH*(g.KH-1) - g.PadH, PadW: g.DilW*(g.KW-1) - g.PadW,
+		DilH: g.DilH, DilW: g.DilW}
+	ok = g.StrideH == 1 && g.StrideW == 1 && rg.PadH >= 0 && rg.PadW >= 0
+	if ok && (rg.OutH() != g.InH || rg.OutW() != g.InW) {
+		panic(fmt.Sprintf("rotated geometry %+v does not map back to %dx%d", rg, g.InH, g.InW))
+	}
+	return rg, ok
+}
+
+// rotatedKernel returns wr[ci, co, KH−1−ky, KW−1−kx] = w[co, ci, ky, kx].
+func rotatedKernel(w []float32, cin, cout, kh, kw int) []float32 {
+	wr := make([]float32, len(w))
+	for co := 0; co < cout; co++ {
+		for ci := 0; ci < cin; ci++ {
+			for ky := 0; ky < kh; ky++ {
+				for kx := 0; kx < kw; kx++ {
+					wr[((ci*cout+co)*kh+kh-1-ky)*kw+kw-1-kx] = w[((co*cin+ci)*kh+ky)*kw+kx]
+				}
+			}
+		}
+	}
+	return wr
+}
+
+// directConvBackward sums both gradients of a convolution term by term in
+// float64, straight from the definition out[co, oy, ox] = Σ w[co, ci, ky,
+// kx]·x[ci, oy·S − P + ky·D, ox·S − P + kx·D]. Alongside each gradient
+// element it returns the sum of its terms' magnitudes, which bounds the
+// float32 rounding error of any summation order.
+func directConvBackward(x, w, gOut []float32, n, cin, cout int, g tensor.ConvGeom) (gx, gxAbs, gw, gwAbs []float64) {
+	oh, ow := g.OutH(), g.OutW()
+	gx, gxAbs = make([]float64, n*cin*g.InH*g.InW), make([]float64, n*cin*g.InH*g.InW)
+	gw, gwAbs = make([]float64, len(w)), make([]float64, len(w))
+	for b := 0; b < n; b++ {
+		for co := 0; co < cout; co++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					d := float64(gOut[((b*cout+co)*oh+oy)*ow+ox])
+					for ci := 0; ci < cin; ci++ {
+						for ky := 0; ky < g.KH; ky++ {
+							iy := oy*g.StrideH - g.PadH + ky*g.DilH
+							if iy < 0 || iy >= g.InH {
+								continue
+							}
+							for kx := 0; kx < g.KW; kx++ {
+								ix := ox*g.StrideW - g.PadW + kx*g.DilW
+								if ix < 0 || ix >= g.InW {
+									continue
+								}
+								wi := ((co*cin+ci)*g.KH+ky)*g.KW + kx
+								xi := ((b*cin+ci)*g.InH+iy)*g.InW + ix
+								gx[xi] += float64(w[wi]) * d
+								gxAbs[xi] += math.Abs(float64(w[wi]) * d)
+								gw[wi] += float64(x[xi]) * d
+								gwAbs[wi] += math.Abs(float64(x[xi]) * d)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return gx, gxAbs, gw, gwAbs
+}
+
+// nearDirect checks got against the float64 direct sum: every element must
+// lie within γ(terms)·Σ|term| of it, with γ(m) = m·u/(1 − m·u) and u =
+// 2⁻²⁴ the float32 unit roundoff — the worst-case error of any order of m−1
+// float32 additions or fused multiply-adds over exactly representable
+// products. terms is the largest number of terms one element sums.
+func nearDirect(t *testing.T, what string, got []float32, want, abs []float64, terms int) {
+	t.Helper()
+	mu := float64(terms) * 0x1p-24
+	gamma := mu / (1 - mu)
+	for i := range want {
+		if err := math.Abs(float64(got[i]) - want[i]); err > gamma*abs[i] {
+			t.Fatalf("%s[%d] = %v, direct sum %v: error %.3g exceeds γ(%d)·Σ|term| = %.3g",
+				what, i, got[i], want[i], err, terms, gamma*abs[i])
+		}
+	}
 }
 
 // refDeconvBackward is Deconv2D's backward over the virtual convolution g
@@ -76,8 +181,8 @@ func pointwise(g tensor.ConvGeom) bool {
 	return g.KH == 1 && g.KW == 1 && g.StrideH == 1 && g.StrideW == 1 && g.PadH == 0 && g.PadW == 0
 }
 
-func convGeom(h, w, kern, stride, pad, dil int) tensor.ConvGeom {
-	return tensor.ConvGeom{InH: h, InW: w, KH: kern, KW: kern, StrideH: stride, StrideW: stride,
+func convGeom(h, w, kh, kw, stride, pad, dil int) tensor.ConvGeom {
+	return tensor.ConvGeom{InH: h, InW: w, KH: kh, KW: kw, StrideH: stride, StrideW: stride,
 		PadH: pad, PadW: pad, DilH: dil, DilW: dil}
 }
 
@@ -111,25 +216,38 @@ func forEachKernelISA(t *testing.T, f func(t *testing.T)) {
 }
 
 type convCase struct {
-	n, cin, cout, h, w, kern, stride, pad, dil int
+	n, cin, cout, h, w, kh, kw, stride, pad, dil int
 }
 
 func (c convCase) String() string {
-	return fmt.Sprintf("n%d_c%d-%d_%dx%d_k%d_s%d_p%d_d%d",
-		c.n, c.cin, c.cout, c.h, c.w, c.kern, c.stride, c.pad, c.dil)
+	kern := fmt.Sprint(c.kh)
+	if c.kw != c.kh {
+		kern += fmt.Sprintf("x%d", c.kw)
+	}
+	return fmt.Sprintf("n%d_c%d-%d_%dx%d_k%s_s%d_p%d_d%d",
+		c.n, c.cin, c.cout, c.h, c.w, kern, c.stride, c.pad, c.dil)
 }
 
 // trainConvCases span one and several register tiles of both kernels,
-// strides, dilation, 1×1 kernels and batches of one and three.
+// strides, dilation, 1×1 kernels and batches of one and three, and every
+// data-gradient route: the rotated-kernel convolution (stride 1, Pad ≤
+// Dil·(K−1) in both dimensions), the Col2im scatter (strided, or padded
+// past the kernel's reach in either dimension) and the pointwise GEMM.
 var trainConvCases = []convCase{
-	{1, 3, 4, 9, 9, 3, 1, 1, 1},
-	{3, 16, 4, 32, 32, 3, 1, 1, 1}, // the growth-rate layer
-	{3, 5, 20, 12, 10, 3, 2, 1, 1}, // strided
-	{1, 8, 24, 16, 16, 3, 1, 2, 2}, // dilated
-	{1, 20, 17, 13, 11, 3, 2, 2, 2},
-	{3, 8, 6, 8, 8, 1, 1, 0, 1},    // pointwise
-	{3, 8, 24, 8, 8, 1, 1, 0, 1},   // pointwise, blocked
-	{1, 6, 18, 10, 10, 1, 2, 0, 1}, // strided 1×1
+	{1, 3, 4, 9, 9, 3, 3, 1, 1, 1},
+	{3, 16, 4, 32, 32, 3, 3, 1, 1, 1},  // Tiny Tiramisu's growth-rate layer
+	{2, 48, 4, 16, 16, 3, 3, 1, 1, 1},  // a later growth-rate layer: M = cin spans 6×16 tiles
+	{3, 5, 20, 12, 10, 3, 3, 2, 1, 1},  // strided
+	{1, 8, 24, 16, 16, 3, 3, 1, 2, 2},  // dilated, pad 2
+	{2, 6, 10, 11, 9, 3, 3, 1, 0, 1},   // pad 0 ("valid")
+	{2, 7, 9, 10, 12, 3, 5, 1, 1, 1},   // KH ≠ KW
+	{1, 5, 6, 9, 13, 2, 3, 1, 2, 2},    // KH ≠ KW, dilated, even kernel
+	{2, 4, 6, 7, 8, 3, 3, 1, 3, 1},     // pad 3 > Dil·(K−1): Col2im fallback
+	{1, 5, 7, 6, 9, 1, 3, 1, 1, 1},     // padded 1×3: fallback in H only
+	{1, 20, 17, 13, 11, 3, 3, 2, 2, 2}, // strided and dilated
+	{3, 8, 6, 8, 8, 1, 1, 1, 0, 1},     // pointwise
+	{3, 8, 24, 8, 8, 1, 1, 1, 0, 1},    // pointwise, blocked
+	{1, 6, 18, 10, 10, 1, 1, 2, 0, 1},  // strided 1×1
 }
 
 // TestTrainConvMatchesIm2colReference checks the training convolutions —
@@ -144,9 +262,9 @@ func TestTrainConvMatchesIm2colReference(t *testing.T) {
 	wsp := tensor.NewWorkspace(tensor.NewPool())
 	forEachKernelISA(t, func(t *testing.T) {
 		for _, tc := range trainConvCases {
-			g := convGeom(tc.h, tc.w, tc.kern, tc.stride, tc.pad, tc.dil)
+			g := convGeom(tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, tc.dil)
 			x := tensor.RandNormal(tensor.NCHW(tc.n, tc.cin, tc.h, tc.w), 0, 1, rng)
-			w := tensor.RandNormal(tensor.OIHW(tc.cout, tc.cin, tc.kern, tc.kern), 0, 0.3, rng)
+			w := tensor.RandNormal(tensor.OIHW(tc.cout, tc.cin, tc.kh, tc.kw), 0, 0.3, rng)
 			bias := tensor.RandNormal(tensor.Shape{tc.cout}, 0, 0.3, rng)
 			outShape := tensor.NCHW(tc.n, tc.cout, g.OutH(), g.OutW())
 			gOut := tensor.RandNormal(outShape, 0, 1, rng)
@@ -162,6 +280,11 @@ func TestTrainConvMatchesIm2colReference(t *testing.T) {
 				grads := nn.NewConv2D(tc.stride, tc.pad, tc.dil).BackwardScratch(in, y, gOut, wsp)
 				sameBits(t, "gradX", grads[0].Data(), wantGX)
 				sameBits(t, "gradW", grads[1].Data(), wantGW)
+				// Whatever the route's association, both gradients are the
+				// definition's, to within float32 rounding.
+				dx, dxAbs, dw, dwAbs := directConvBackward(x.Data(), w.Data(), gOut.Data(), tc.n, tc.cin, tc.cout, g)
+				nearDirect(t, "gradX", grads[0].Data(), dx, dxAbs, tc.cout*tc.kh*tc.kw)
+				nearDirect(t, "gradW", grads[1].Data(), dw, dwAbs, tc.n*cols)
 			})
 
 			for _, relu := range []bool{false, true} {
@@ -233,7 +356,7 @@ func TestTrainConvMatchesIm2colReference(t *testing.T) {
 // Under -race it proves the ops keep no per-instance state.
 func sharedAcrossExecutors(t *testing.T) {
 	const n, cin, cout, hw = 2, 16, 8, 12
-	g := convGeom(hw, hw, 3, 1, 1, 1)
+	g := convGeom(hw, hw, 3, 3, 1, 1, 1)
 	conv := nn.NewConv2D(1, 1, 1)
 	fused := nn.NewFusedConvBias(1, 1, 1, false)
 	rng := rand.New(rand.NewSource(35))

@@ -23,9 +23,11 @@ import (
 
 // oracleSegmenter stands in for the inference server: it reproduces the
 // generator's own heuristic labels (so detections are perfect) after an
-// artificial service delay, and records how requests were degraded.
+// artificial service delay, and records how requests were degraded. A
+// non-nil gate holds every request until it is closed (see gatedSource).
 type oracleSegmenter struct {
 	delay    time.Duration
+	gate     chan struct{}
 	requests atomic.Int64
 	degraded atomic.Int64
 	boosted  atomic.Int64
@@ -34,6 +36,14 @@ type oracleSegmenter struct {
 func (o *oracleSegmenter) SegmentWith(ctx context.Context, fields *tensor.Tensor, opts serve.SegmentOpts) (*tensor.Tensor, serve.RequestStat, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, serve.RequestStat{}, err
+	}
+	if o.gate != nil {
+		select {
+		case <-o.gate:
+		case <-time.After(10 * time.Second):
+			// A gate that never opens fails the caller's assertions
+			// instead of hanging the test.
+		}
 	}
 	if o.delay > 0 {
 		time.Sleep(o.delay)
@@ -46,6 +56,32 @@ func (o *oracleSegmenter) SegmentWith(ctx context.Context, fields *tensor.Tensor
 		o.boosted.Add(1)
 	}
 	return climate.Label(fields), serve.RequestStat{Tiles: 1}, nil
+}
+
+// gatedSource counts the frames the producer fetches and opens the
+// segmenter's gate when it fetches the openAt-th. The consumer is then held
+// on its first frame until the producer has got openAt−2 frames past it, so
+// the queue overloads however fast or slow the host makes either side.
+type gatedSource struct {
+	Source
+	openAt  int64
+	fetched atomic.Int64
+	gate    chan struct{}
+}
+
+func (s *gatedSource) Frame(t int) (*climate.Sample, error) {
+	if s.fetched.Add(1) == s.openAt {
+		close(s.gate)
+	}
+	return s.Source.Frame(t)
+}
+
+// overloaded returns src behind a gatedSource opening at openAt and an
+// oracle segmenter with the given delay held by its gate.
+func overloaded(src Source, openAt int, delay time.Duration) (Source, *oracleSegmenter) {
+	gate := make(chan struct{})
+	return &gatedSource{Source: src, openAt: int64(openAt), gate: gate},
+		&oracleSegmenter{delay: delay, gate: gate}
 }
 
 func testSequence(t *testing.T, frames int, seed int64) *climate.Sequence {
@@ -107,15 +143,18 @@ func TestPipelineMatchesBatchLinkTracks(t *testing.T) {
 func TestPipelineDropOldestShedsUnderOverload(t *testing.T) {
 	// A source far faster than the consumer with a tiny queue: the policy
 	// must shed frames (observable in the counter), never deadlock, and
-	// account for every produced frame as processed or dropped.
-	const n = 40
-	seq := testSequence(t, n, 53)
-	p, err := New(&oracleSegmenter{delay: 3 * time.Millisecond}, Config{
-		Source:     seq,
+	// account for every produced frame as processed or dropped. The
+	// consumer is held until the producer has fetched frame depth+2: one
+	// frame in the consumer and depth in the queue leave no room for
+	// frame depth+1, so the overload is certain.
+	const n, depth = 40, 2
+	src, seg := overloaded(testSequence(t, n, 53), depth+3, 3*time.Millisecond)
+	p, err := New(seg, Config{
+		Source:     src,
 		FPS:        2000,
 		MaxFrames:  n,
 		Policy:     PolicyDropOldest,
-		QueueDepth: 2,
+		QueueDepth: depth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +180,17 @@ func TestPipelineDropOldestShedsUnderOverload(t *testing.T) {
 
 func TestPipelineDegradeEngagesUnderPressure(t *testing.T) {
 	// PolicyDegrade keeps every frame but must coarsen some once the queue
-	// passes the pressure threshold.
-	const n = 30
-	seq := testSequence(t, n, 57)
-	seg := &oracleSegmenter{delay: 3 * time.Millisecond}
+	// passes the pressure threshold. The consumer is held until the
+	// producer has fetched frame depth+1, which it does only once frames
+	// 1..depth fill the queue.
+	const n, depth = 30, 4
+	src, seg := overloaded(testSequence(t, n, 57), depth+2, 3*time.Millisecond)
 	p, err := New(seg, Config{
-		Source:     seq,
+		Source:     src,
 		FPS:        2000,
 		MaxFrames:  n,
 		Policy:     PolicyDegrade,
-		QueueDepth: 4,
+		QueueDepth: depth,
 		DegradeAt:  0.5,
 	})
 	if err != nil {
@@ -176,16 +216,16 @@ func TestPipelineDegradeLaddersBoostBeforeCoarsen(t *testing.T) {
 	// The two-rung ladder: exit-threshold boosting (invisible tiling, only
 	// marginal background tiles exit earlier) must engage at DegradeAt,
 	// below the CoarsenAt rung that widens the tile stride. Any frame
-	// coarsened was therefore also boosted.
-	const n = 30
-	seq := testSequence(t, n, 67)
-	seg := &oracleSegmenter{delay: 3 * time.Millisecond}
+	// coarsened was therefore also boosted. The consumer is held until the
+	// queue has filled, as in TestPipelineDegradeEngagesUnderPressure.
+	const n, depth = 30, 4
+	src, seg := overloaded(testSequence(t, n, 67), depth+2, 3*time.Millisecond)
 	p, err := New(seg, Config{
-		Source:     seq,
+		Source:     src,
 		FPS:        2000,
 		MaxFrames:  n,
 		Policy:     PolicyDegrade,
-		QueueDepth: 4,
+		QueueDepth: depth,
 		DegradeAt:  0.25,
 		ExitBoost:  2,
 		CoarsenAt:  1,

@@ -6,7 +6,10 @@ import "repro/internal/simd"
 // the im2col matrix of an image — the forward out[cout, OutH·OutW] = w[cout,
 // k] · im2col(x), k = cin·KH·KW, and the weight gradient gw[cout, k] +=
 // gOut[cout, OutH·OutW] · im2col(x)ᵀ — computed without ever writing that
-// matrix, for training and serving alike.
+// matrix, for training and serving alike. ConvGemm also serves the data
+// gradient of a stride-1 convolution, which is the incoming gradient
+// convolved with the rotated, channel-transposed kernel (nn.Conv2D's
+// backward).
 //
 // Materializing the panel costs k·cols floats and one full write pass, and
 // the blocked GEMM then copies it a second time into its packed B panel.
