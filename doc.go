@@ -34,9 +34,11 @@
 //     paper-exact networks at full 1152×768×16 scale (kernel tables,
 //     scaling models) without allocating gigabytes.
 //
-// The root package holds the benchmark harness (bench_test.go): one
-// benchmark per table and figure of the paper's evaluation, plus the
-// serving and checkpoint-overhead SLO smokes. The library internals live
-// under internal/ (27 packages, inventoried in DESIGN.md), the
+// The root package holds the reproduction tests (reproduction_test.go):
+// the paper's training claims from Fig 6 and Section V-B, asserted at Tiny
+// scale on a fixed seed set. README.md maps every figure and section of
+// the paper's evaluation to the test or command that reproduces it, and
+// the gated benchmark lives under bench/. The library internals live
+// under internal/ (30 packages, inventoried in DESIGN.md), the
 // executables under cmd/, and runnable walkthroughs under examples/.
 package repro

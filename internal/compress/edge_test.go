@@ -4,56 +4,11 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
-// TestQuantizeRejectsUnrepresentableValues drives the 16-bit quantizer
-// through every input class the ErrUnquantizable guard covers. Before the
-// guard these silently produced garbage codes.
-func TestQuantizeRejectsUnrepresentableValues(t *testing.T) {
-	const big = math.MaxFloat32
-	cases := []struct {
-		name    string
-		poison  []float32 // written over the start of channel 0
-		wantErr bool
-	}{
-		{"clean", []float32{0, 1, 2, 3}, false},
-		{"NaN", []float32{float32(math.NaN())}, true},
-		{"+Inf", []float32{float32(math.Inf(1))}, true},
-		{"-Inf", []float32{float32(math.Inf(-1))}, true},
-		{"range overflows float32", []float32{-big, big}, true},
-		{"denormal range underflows code step", []float32{0, math.SmallestNonzeroFloat32}, true},
-		{"constant channel", []float32{5, 5, 5, 5}, false},
-		{"denormal values with representable span", []float32{math.SmallestNonzeroFloat32, 1}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fields := tensor.New(tensor.Shape{2, 2, 2})
-			copy(fields.Data(), tc.poison)
-			q, err := Quantize(fields)
-			if tc.wantErr {
-				if !errors.Is(err, ErrUnquantizable) {
-					t.Fatalf("want ErrUnquantizable, got %v", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			re := q.Dequantize().Data()
-			for i, v := range fields.Data() {
-				if math.Abs(float64(re[i]-v)) > q.MaxError(i/4) {
-					t.Fatalf("element %d: |%v − %v| exceeds bound %v", i, re[i], v, q.MaxError(i/4))
-				}
-			}
-		})
-	}
-}
-
 // TestQuantizeSymInt8EdgeCases drives the symmetric 8-bit weight quantizer
-// through the same unrepresentable-input classes plus its group-shape
-// validation.
+// through every input class the ErrUnquantizable guard covers plus its
+// group-shape validation.
 func TestQuantizeSymInt8EdgeCases(t *testing.T) {
 	cases := []struct {
 		name     string

@@ -1,9 +1,18 @@
+// Package compress holds the symmetric 8-bit weight quantizer of the INT8
+// inference engine.
 package compress
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrUnquantizable reports input the quantizer cannot represent: NaN or
+// ±Inf values, or a group so small in magnitude that its code step
+// underflows to zero. Unguarded, such inputs silently produce garbage
+// codes. Callers match with errors.Is.
+var ErrUnquantizable = errors.New("compress: unquantizable values")
 
 // Symmetric 8-bit quantization for the INT8 inference engine.
 //

@@ -53,7 +53,7 @@ func TestGoldenTrajectory(t *testing.T) {
 		{name: "classic_2rank_larc_lag1", cfg: larcLag},
 		{name: "classic_2rank_larc_lag1_serial", cfg: func() Config {
 			cfg := larcLag()
-			cfg.Exchange = ExchangeSerial
+			cfg.serialExchange = true
 			return cfg
 		}, golden: "classic_2rank_larc_lag1"},
 		{name: "classic_8rank_fp16_hybrid_4x2", cfg: func() Config {

@@ -9,12 +9,14 @@ import (
 	"repro/internal/mpi"
 )
 
-func runMode(t *testing.T, cfg Config, mode ExchangeMode) *Result {
+// runMode trains cfg with the serial exchange driver when serial is set and
+// the overlapped one otherwise.
+func runMode(t *testing.T, cfg Config, serial bool) *Result {
 	t.Helper()
-	cfg.Exchange = mode
+	cfg.serialExchange = serial
 	res, err := Train(cfg)
 	if err != nil {
-		t.Fatalf("%v exchange: %v", mode, err)
+		t.Fatalf("serial=%v exchange: %v", serial, err)
 	}
 	return res
 }
@@ -26,8 +28,8 @@ func runMode(t *testing.T, cfg Config, mode ExchangeMode) *Result {
 func TestOverlapSerialBitParity(t *testing.T) {
 	for _, ranks := range []int{1, 2, 8} {
 		cfg := baseConfig(ranks, 5)
-		serial := runMode(t, cfg, ExchangeSerial)
-		overlap := runMode(t, cfg, ExchangeOverlap)
+		serial := runMode(t, cfg, true)
+		overlap := runMode(t, cfg, false)
 
 		if len(serial.History) != len(overlap.History) {
 			t.Fatalf("%d ranks: history lengths differ", ranks)
@@ -58,7 +60,7 @@ func TestOverlapSerialBitParity(t *testing.T) {
 // fraction within [0,1], wire bytes and bucket counts recorded.
 func TestOverlapReportsStats(t *testing.T) {
 	cfg := baseConfig(4, 6)
-	res := runMode(t, cfg, ExchangeOverlap)
+	res := runMode(t, cfg, false)
 	if res.CtlStats.Batches == 0 {
 		t.Fatal("no fusion buckets recorded")
 	}
@@ -74,7 +76,7 @@ func TestOverlapReportsStats(t *testing.T) {
 		t.Fatalf("mean overlap fraction %v outside [0,1]", res.OverlapFrac)
 	}
 	// Serial runs must report zero overlap.
-	ser := runMode(t, baseConfig(2, 3), ExchangeSerial)
+	ser := runMode(t, baseConfig(2, 3), true)
 	if ser.OverlapFrac != 0 {
 		t.Fatalf("serial exchange reports overlap %v", ser.OverlapFrac)
 	}
@@ -100,7 +102,7 @@ func TestFP16WireTrainingConverges(t *testing.T) {
 			res.History[0].Loss, res.FinalLoss)
 	}
 
-	full := runMode(t, baseConfig(4, 16), ExchangeOverlap)
+	full := runMode(t, baseConfig(4, 16), false)
 	if res.CtlStats.WireBytes*2 != full.CtlStats.WireBytes {
 		t.Fatalf("FP16 wire bytes %d, FP32 %d: want exactly half",
 			res.CtlStats.WireBytes, full.CtlStats.WireBytes)
@@ -111,10 +113,10 @@ func TestFP16WireTrainingConverges(t *testing.T) {
 // the vote rides the first bucket, and every rank exits at the same step
 // boundary without deadlocking a partner mid-collective.
 func TestOverlappedCancellation(t *testing.T) {
-	for _, mode := range []ExchangeMode{ExchangeOverlap, ExchangeSerial} {
+	for _, serial := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := baseConfig(4, 10_000)
-		cfg.Exchange = mode
+		cfg.serialExchange = serial
 		cfg.Ctx = ctx
 		const stopAfter = 2
 		cfg.OnStep = func(s StepStat) {
@@ -124,11 +126,11 @@ func TestOverlappedCancellation(t *testing.T) {
 		}
 		res, err := Train(cfg)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err = %v, want context.Canceled", mode, err)
+			t.Fatalf("serial=%v: err = %v, want context.Canceled", serial, err)
 		}
 		if res == nil || len(res.History) <= stopAfter || len(res.History) > stopAfter+3 {
-			t.Fatalf("%v: partial history %d steps, want just past %d",
-				mode, len(res.History), stopAfter)
+			t.Fatalf("serial=%v: partial history %d steps, want just past %d",
+				serial, len(res.History), stopAfter)
 		}
 	}
 }

@@ -41,32 +41,6 @@ const (
 	Adam
 )
 
-// ExchangeMode selects the multi-rank gradient-exchange pipeline.
-type ExchangeMode int
-
-const (
-	// ExchangeOverlap (the default) streams gradients to a per-rank
-	// background exchange goroutine as the backward pass produces them:
-	// size-capped fusion buckets are negotiated and reduced while earlier
-	// layers are still differentiating, and each step's cancellation vote
-	// rides in the first bucket. Bit-identical to ExchangeSerial at FP32.
-	ExchangeOverlap ExchangeMode = iota
-	// ExchangeSerial runs the same bucket-planned exchange synchronously
-	// after backward — the debugging/ablation twin of ExchangeOverlap.
-	ExchangeSerial
-)
-
-// String names the exchange mode.
-func (m ExchangeMode) String() string {
-	switch m {
-	case ExchangeOverlap:
-		return "overlap"
-	case ExchangeSerial:
-		return "serial"
-	}
-	return fmt.Sprintf("ExchangeMode(%d)", int(m))
-}
-
 // Config describes one training run.
 type Config struct {
 	// BuildNet constructs a rank's model replica. It is called once per
@@ -95,11 +69,6 @@ type Config struct {
 	Fabric       simnet.Fabric // nil → loopback fabric of Ranks
 	Horovod      horovod.Config
 	HybridReduce bool
-	// Exchange selects the gradient-exchange driver (default
-	// ExchangeOverlap: comm overlapped with backward). Both drivers reduce
-	// the same fusion-bucket plan, so they train bit-identical weights;
-	// any other value is rejected.
-	Exchange ExchangeMode
 	// FusionBufferBytes caps one fused all-reduce bucket of the exchange
 	// (0 → horovod.DefaultFusionBufferBytes).
 	FusionBufferBytes int
@@ -196,6 +165,13 @@ type Config struct {
 	// OnValidation is the mid-training analogue of OnStep for the
 	// ValidateEvery passes.
 	OnValidation func(ValStat)
+
+	// serialExchange runs the bucket-planned gradient exchange
+	// synchronously after backward instead of overlapping it with the
+	// backward pass. Both drivers reduce the same fusion-bucket plan and
+	// train bit-identical weights; the serial one is the reference that
+	// package tests compare the overlapped driver against.
+	serialExchange bool
 }
 
 // StepStat is one step's record from rank 0's perspective.
@@ -208,8 +184,8 @@ type StepStat struct {
 
 	// OverlapFrac is the fraction of this step's exchange buckets that had
 	// already been reduced when the backward pass finished — gradient
-	// communication hidden behind compute. Zero under ExchangeSerial and
-	// under EASGD churn, which has no per-step exchange.
+	// communication hidden behind compute. Zero under the serial exchange
+	// and under EASGD churn, which has no per-step exchange.
 	OverlapFrac float64
 
 	// PoolAllocs and PoolReuses are rank 0's cumulative workspace counters:
@@ -299,9 +275,6 @@ func Train(cfg Config) (*Result, error) {
 	}
 	if cfg.Fabric.Size() != cfg.Ranks {
 		return nil, fmt.Errorf("core: fabric size %d != ranks %d", cfg.Fabric.Size(), cfg.Ranks)
-	}
-	if cfg.Exchange != ExchangeOverlap && cfg.Exchange != ExchangeSerial {
-		return nil, fmt.Errorf("core: unknown exchange mode %v", cfg.Exchange)
 	}
 	if cfg.Horovod.Radix == 0 {
 		cfg.Horovod = horovod.Tree(4)
@@ -560,7 +533,7 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		}
 		sess.PlanBuckets(sizes)
 	}
-	overlapped := cfg.Exchange == ExchangeOverlap && sess != nil
+	overlapped := !cfg.serialExchange && sess != nil
 
 	var base opt.Optimizer
 	switch cfg.Optimizer {

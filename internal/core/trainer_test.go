@@ -222,11 +222,6 @@ func TestConfigValidationErrors(t *testing.T) {
 	if _, err := Train(cfg); err == nil {
 		t.Fatal("channel mismatch between net and dataset accepted")
 	}
-	cfg = baseConfig(1, 4)
-	cfg.Exchange = ExchangeSerial + 1
-	if _, err := Train(cfg); err == nil {
-		t.Fatal("out-of-range exchange mode accepted")
-	}
 }
 
 func TestSmoothedLoss(t *testing.T) {

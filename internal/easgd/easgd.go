@@ -1,216 +1,30 @@
-// Package easgd implements elastic averaging SGD (Zhang, Choromanska &
-// LeCun, 2014), the scheme the paper's Section V-B4 cites as the
-// established larger-lag relative of its gradient-lag optimizer. Workers
-// run independent SGD on their own parameter copies and, every
+// Package easgd holds the update rule of elastic averaging SGD (Zhang,
+// Choromanska & LeCun, 2014), the scheme the paper's Section V-B4 cites as
+// the established larger-lag relative of its gradient-lag optimizer.
+// Workers run independent SGD on their own parameter copies and, every
 // communication period τ, exert an elastic force pulling them toward a
 // shared center variable (and the center toward them). Communication drops
 // by a factor of τ versus synchronous all-reduce training, at the cost of
 // staler coordination — the same throughput/staleness trade the paper
 // makes with lag 1.
 //
-// The synchronous, symmetric variant is implemented: the center is
-// replicated on every rank and updated identically from an all-reduce of
-// the worker parameters, so no parameter server is needed and the run is
-// deterministic.
+// The synchronous, symmetric variant is used: the center is replicated on
+// every rank and updated identically from an all-reduce of the worker
+// parameters, so no parameter server is needed and the run is
+// deterministic. The core trainer's ChurnEASGD mode drives it; its golden
+// trajectory and elastic tests cover the rule.
 package easgd
-
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/mpi"
-)
-
-// Problem is an optimization target with stochastic gradients.
-type Problem interface {
-	// Dim returns the parameter dimensionality.
-	Dim() int
-	// Grad writes the stochastic gradient at x into g (len Dim). rng drives
-	// the sampling; step identifies the iteration for curricula if needed.
-	Grad(x []float32, step int, rng *rand.Rand, g []float32)
-	// Loss returns the full (deterministic) objective at x.
-	Loss(x []float32) float64
-}
-
-// Config sets the EASGD hyperparameters.
-type Config struct {
-	LR     float64 // worker SGD learning rate η
-	Rho    float64 // elastic coefficient ρ; the moving rate is α = η·ρ
-	Period int     // τ: steps between elastic synchronizations
-	Steps  int     // total worker steps
-	Seed   int64
-}
-
-// Result summarizes a run.
-type Result struct {
-	Center     []float32
-	CenterLoss float64
-	WorkerLoss []float64 // final per-worker losses
-	BytesSent  int64     // total fabric payload bytes
-	Makespan   float64   // virtual seconds
-	Syncs      int       // elastic synchronizations performed
-}
-
-func (c Config) validate() error {
-	if c.LR <= 0 || c.Rho <= 0 || c.Period < 1 || c.Steps < 1 {
-		return fmt.Errorf("easgd: bad config %+v", c)
-	}
-	return nil
-}
-
-// Run executes EASGD over the world's ranks. init seeds both the center and
-// every worker copy (the consistent-initialization requirement shared with
-// the paper's data-parallel training).
-func Run(world *mpi.World, cfg Config, p Problem, init []float32) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(init) != p.Dim() {
-		return nil, fmt.Errorf("easgd: init dim %d != problem dim %d", len(init), p.Dim())
-	}
-	n := world.Size()
-	alpha := float32(cfg.LR * cfg.Rho)
-	res := &Result{WorkerLoss: make([]float64, n)}
-
-	res.Makespan = world.Run(func(c *mpi.Comm) {
-		x := append([]float32(nil), init...)
-		center := append([]float32(nil), init...)
-		g := make([]float32, len(x))
-		sum := make([]float32, len(x))
-		rng := rand.New(rand.NewSource(cfg.Seed*9973 + int64(c.Rank())*271))
-		syncs := 0
-
-		for step := 0; step < cfg.Steps; step++ {
-			p.Grad(x, step, rng, g)
-			lr := float32(cfg.LR)
-			for i := range x {
-				x[i] -= lr * g[i]
-			}
-			if (step+1)%cfg.Period != 0 {
-				continue
-			}
-			// Elastic synchronization: all-reduce the worker parameters,
-			// then apply the symmetric update. The center update uses the
-			// PRE-update worker positions, as in the synchronous EASGD
-			// recursion x̃ ← x̃ + Σᵢ α(xᵢ − x̃).
-			copy(sum, x)
-			c.Allreduce(sum, mpi.Ring)
-			ElasticUpdate(x, center, sum, n, alpha)
-			syncs++
-		}
-
-		res.WorkerLoss[c.Rank()] = p.Loss(x)
-		if c.Rank() == 0 {
-			res.Center = center
-			res.CenterLoss = p.Loss(center)
-			res.Syncs = syncs
-		}
-	})
-	res.BytesSent = world.BytesSent()
-	return res, nil
-}
 
 // ElasticUpdate applies the symmetric EASGD synchronization for one
 // parameter block: sum must hold the all-reduced pre-update worker
 // parameters Σᵢ xᵢ over n workers, center the replicated center variable
 // x̃, and alpha the moving rate α = η·ρ. The center moves toward the worker
 // mean (x̃ ← x̃ + Σᵢ α(xᵢ − x̃)) and the local worker is pulled toward the
-// old center — the elastic force in both directions. Exported so the core
-// trainer's churn escape hatch reuses the exact update rule this package
-// tests against its convergence baselines.
+// old center — the elastic force in both directions.
 func ElasticUpdate(x, center, sum []float32, n int, alpha float32) {
 	for i := range x {
 		old := center[i]
 		center[i] += alpha * (sum[i] - float32(n)*old)
 		x[i] -= alpha * (x[i] - old)
 	}
-}
-
-// RunSync executes plain synchronous data-parallel SGD (gradient all-reduce
-// every step) on the same problem, the baseline EASGD trades against.
-func RunSync(world *mpi.World, cfg Config, p Problem, init []float32) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	n := world.Size()
-	res := &Result{WorkerLoss: make([]float64, n)}
-	res.Makespan = world.Run(func(c *mpi.Comm) {
-		x := append([]float32(nil), init...)
-		g := make([]float32, len(x))
-		rng := rand.New(rand.NewSource(cfg.Seed*9973 + int64(c.Rank())*271))
-		for step := 0; step < cfg.Steps; step++ {
-			p.Grad(x, step, rng, g)
-			c.Allreduce(g, mpi.Ring)
-			lr := float32(cfg.LR / float64(n))
-			for i := range x {
-				x[i] -= lr * g[i]
-			}
-		}
-		res.WorkerLoss[c.Rank()] = p.Loss(x)
-		if c.Rank() == 0 {
-			res.Center = x
-			res.CenterLoss = p.Loss(x)
-		}
-	})
-	res.BytesSent = world.BytesSent()
-	return res, nil
-}
-
-// LeastSquares is the stochastic linear regression problem ½‖Ax−b‖²/m used
-// by the tests and benchmarks: row-sampled gradients, closed-form optimum.
-type LeastSquares struct {
-	A [][]float32 // m rows of dim d
-	B []float32
-}
-
-// NewLeastSquares builds a random consistent system around a known optimum.
-func NewLeastSquares(m, d int, seed int64) (*LeastSquares, []float32) {
-	rng := rand.New(rand.NewSource(seed))
-	opt := make([]float32, d)
-	for i := range opt {
-		opt[i] = float32(rng.NormFloat64())
-	}
-	ls := &LeastSquares{A: make([][]float32, m), B: make([]float32, m)}
-	for r := 0; r < m; r++ {
-		row := make([]float32, d)
-		var dot float32
-		for i := range row {
-			row[i] = float32(rng.NormFloat64())
-			dot += row[i] * opt[i]
-		}
-		ls.A[r] = row
-		ls.B[r] = dot
-	}
-	return ls, opt
-}
-
-// Dim implements Problem.
-func (ls *LeastSquares) Dim() int { return len(ls.A[0]) }
-
-// Grad implements Problem with a single sampled row (pure SGD).
-func (ls *LeastSquares) Grad(x []float32, _ int, rng *rand.Rand, g []float32) {
-	r := rng.Intn(len(ls.A))
-	row := ls.A[r]
-	var resid float32
-	for i, a := range row {
-		resid += a * x[i]
-	}
-	resid -= ls.B[r]
-	for i, a := range row {
-		g[i] = resid * a
-	}
-}
-
-// Loss implements Problem.
-func (ls *LeastSquares) Loss(x []float32) float64 {
-	var total float64
-	for r, row := range ls.A {
-		var resid float64
-		for i, a := range row {
-			resid += float64(a) * float64(x[i])
-		}
-		resid -= float64(ls.B[r])
-		total += resid * resid
-	}
-	return total / (2 * float64(len(ls.A)))
 }

@@ -201,7 +201,7 @@ func TestPipelineDegradeEngagesUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.Stats
-	if st.Processed != n || st.Dropped != 0 {
+	if st.Produced != n || st.Processed != n || st.Dropped != 0 {
 		t.Fatalf("degrade policy must keep every frame: %+v", st)
 	}
 	if st.Degraded == 0 {

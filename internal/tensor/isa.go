@@ -86,7 +86,7 @@ func ActiveISA() KernelISA {
 const (
 	avxMR = 6
 	avxNR = 16
-	// Cache blocks swept empirically on the 6×16 kernel (BENCH_9): of
+	// Cache blocks swept empirically on the 6×16 kernel (PR 9, CHANGES.md): of
 	// {MC, KC} ∈ {60..192}×{128..384}, MC=144 KC=256 measured best on both
 	// the conv-shaped and square benchmarks (one 6-row A strip = 6 KiB,
 	// one 16-col B strip = 16 KiB, packed A panel ≈ 144 KiB in L2).
