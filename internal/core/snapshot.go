@@ -77,7 +77,7 @@ func (s *snapshotter) run() {
 // and queues it for writing. Runs synchronously on rank 0's step path; its
 // cost is the parameter/optimizer memcpy, not the encode or the I/O.
 func (s *snapshotter) capture(steps uint64, cfg Config, net *models.Network,
-	optimizer opt.Stateful, scaler *hpfloat.LossScaler, skipped int,
+	captureOpt func(prev *opt.State) *opt.State, scaler *hpfloat.LossScaler, skipped int,
 	history []models.StepRecord, valHist []models.ValRecord) error {
 
 	buf := <-s.free
@@ -102,12 +102,12 @@ func (s *snapshotter) capture(steps uint64, cfg Config, net *models.Network,
 		// dataset directly and never advance the stream.
 		buf.Cursors[r] = steps
 	}
+	buf.Opt = captureOpt(buf.Opt)
 	var err error
 	if buf.Params, err = models.CaptureParamsInto(net.Graph, buf.Params); err != nil {
 		s.free <- buf
 		return err
 	}
-	buf.Opt = optimizer.CaptureStateInto(buf.Opt)
 	sc := scaler.CaptureState()
 	buf.Scaler = &sc
 	// The convergence curves ride along so a resumed run keeps its full

@@ -100,8 +100,9 @@ type Config struct {
 	// and the gradient-lag queue), the FP16 loss scaler, every rank's
 	// data-stream cursor, and the step counter — everything ResumeFrom
 	// needs to continue bit-exactly. Rank 0 captures at the step boundary
-	// (a memcpy) and a background writer commits the file atomically, so
-	// the hot path never waits on the disk. Requires CheckpointDir.
+	// (a memcpy, with the optimizer state gathered from the ranks that own
+	// it) and a background writer commits the file atomically, so the hot
+	// path never waits on the disk. Requires CheckpointDir.
 	CheckpointEvery int
 	// CheckpointDir is the snapshot directory (created if missing).
 	CheckpointDir string
@@ -172,6 +173,11 @@ type Config struct {
 	// train bit-identical weights; the serial one is the reference that
 	// package tests compare the overlapped driver against.
 	serialExchange bool
+	// onOptimizerStep, when set, is called on every rank after each applied
+	// optimizer step with the parameters that rank stepped and its
+	// optimizer; package tests read the sharded update's work and state
+	// through it.
+	onOptimizerStep func(rank int, stepped []opt.Param, o opt.Stateful)
 }
 
 // StepStat is one step's record from rank 0's perspective.
@@ -307,9 +313,10 @@ func Train(cfg Config) (*Result, error) {
 	}
 
 	// Resume state is loaded and verified once, then shared read-only by
-	// every rank: each restores the identical weights, optimizer moments,
-	// and scaler (synchronous training keeps them equal across ranks) and
-	// fast-forwards its own data-stream cursor.
+	// every rank: each restores the identical weights and scaler
+	// (synchronous training keeps them equal across ranks), the optimizer
+	// state of the parameters it owns, and fast-forwards its own
+	// data-stream cursor.
 	var resume *models.TrainState
 	if cfg.ResumeFrom != "" {
 		st, err := models.LoadSnapshotFile(cfg.ResumeFrom)
@@ -511,8 +518,26 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 	}
 	params := net.Graph.Params()
 	paramIndex := make(map[*graph.Node]int, len(params))
+	sizes := make([]int, len(params))
 	for i, p := range params {
 		paramIndex[p] = i
+		sizes[i] = p.Shape.NumElements()
+	}
+
+	// Sharded update: this rank steps, and keeps optimizer state for, the
+	// parameters [own, ownEnd) only, then the weight sync brings every
+	// other owner's results. One rank owns everything; EASGD workers'
+	// updates differ from each other, so each applies its own.
+	sharded := c.Size() > 1 && !easgdMode
+	own, ownEnd := 0, len(params)
+	var bounds []int
+	if sharded {
+		bounds = shardBounds(sizes, c.Size())
+		own, ownEnd = bounds[c.Rank()], bounds[c.Rank()+1]
+	}
+	owned := make([]opt.Param, ownEnd-own)
+	for i, p := range params[own:ownEnd] {
+		owned[i] = opt.Param{Name: p.Label, Value: p.Value}
 	}
 
 	var sess *horovod.Session
@@ -527,10 +552,6 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		// shapes: identical on every rank, every step, and across the
 		// serial/overlapped drivers — which is what pins the fused
 		// summation order and keeps overlapped training bit-identical.
-		sizes := make([]int, len(params))
-		for i, p := range params {
-			sizes[i] = p.Shape.NumElements()
-		}
 		sess.PlanBuckets(sizes)
 	}
 	overlapped := !cfg.serialExchange && sess != nil
@@ -558,12 +579,17 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		// The optimizer composition (Lag→[LARC→]base) is rebuilt from the
 		// same configuration, so the state tree reattaches kind by kind;
 		// lagged gradient sets rebind to this rank's live tensors by label.
-		optParams := make([]opt.Param, len(params))
-		for i, p := range params {
-			optParams[i] = opt.Param{Name: p.Label, Value: p.Value}
-		}
-		if resume.Opt != nil {
-			if err := optimizer.RestoreState(resume.Opt, optParams); err != nil {
+		// A sharded rank keeps only its own parameters' entries of the full
+		// state, whatever world size wrote it.
+		if st := resume.Opt; st != nil {
+			if sharded {
+				labels := make(map[string]bool, len(owned))
+				for _, p := range owned {
+					labels[p.Name] = true
+				}
+				st = ownedState(st, labels)
+			}
+			if err := optimizer.RestoreState(st, owned); err != nil {
 				return err
 			}
 		}
@@ -603,6 +629,18 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 	rw.initExchange(len(params))
 	defer graph.ReleaseOpCaches(net.Graph)
 
+	// The optimizer state a snapshot records. Sharded, rank 0 gathers every
+	// owner's entries into the capture and the other ranks send theirs
+	// from a recycled local capture.
+	var localOpt *opt.State
+	captureOpt := optimizer.CaptureStateInto
+	if sharded {
+		captureOpt = func(prev *opt.State) *opt.State {
+			localOpt = optimizer.CaptureStateInto(localOpt)
+			return gatherOptState(c, prev, localOpt)
+		}
+	}
+
 	acc := newGradAccum(params)
 	var lossAcc scalarAccum
 
@@ -619,7 +657,8 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 	}
 
 	// Rank 0 owns the asynchronous snapshot writer; the other ranks hold
-	// identical state at every boundary, so one writer covers the world.
+	// identical weights at every boundary and send it their optimizer
+	// shards, so one writer covers the world.
 	var snap *snapshotter
 	if c.Rank() == 0 && cfg.CheckpointEvery > 0 {
 		snap = newSnapshotter(cfg.CheckpointDir, cfg.CheckpointRetain, cfg.CheckpointSync)
@@ -715,6 +754,7 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 	onGrad := func(p *graph.Node, g *tensor.Tensor) {
 		id := paramIndex[p]
 		d := g.Data()
+		rw.grads[id] = g
 		rw.gradBufs[id] = d
 		rw.pushed[id] = true
 		if !finalMB {
@@ -820,8 +860,7 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 				if rw.pushed[i] {
 					continue
 				}
-				z := rw.zeroGrad(i, params[i].Shape.NumElements())
-				rw.gradBufs[i] = z
+				z := rw.zeroGrad(i, params[i].Shape)
 				if !finalMB {
 					continue
 				}
@@ -850,8 +889,7 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 				sess.BeginStep(flag, 0)
 			}
 			for i := range params {
-				z := rw.zeroGrad(i, params[i].Shape.NumElements())
-				rw.gradBufs[i] = z
+				z := rw.zeroGrad(i, params[i].Shape)
 				if overlapped {
 					sess.Push(horovod.TensorID(i), z)
 				} else {
@@ -912,15 +950,22 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		} else if overflow {
 			apply = false
 		}
+		// Every rank holds the reduced sums and the same verdict; each steps
+		// the parameters it owns (possibly none, so Adam's step count and
+		// the lag queue advance everywhere), then the weight sync hands
+		// every owner's results to the other ranks. A skipped step moves
+		// and sends no weights.
 		if apply {
-			for i, p := range params {
-				rw.ps[i] = opt.Param{
-					Name:  p.Label,
-					Value: p.Value,
-					Grad:  tensor.FromSlice(p.Shape, rw.gradBufs[i]),
-				}
+			for i := range owned {
+				owned[i].Grad = rw.grads[own+i]
 			}
-			optimizer.Step(rw.ps)
+			optimizer.Step(owned)
+			if sharded {
+				syncWeights(c, params, bounds)
+			}
+			if cfg.onOptimizerStep != nil {
+				cfg.onOptimizerStep(c.Rank(), owned, optimizer)
+			}
 		} else if !easgdMode || k > 0 {
 			skipped++
 		}
@@ -1007,12 +1052,18 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 		}
 
 		// The capture sits after the validation pass so a boundary step's
-		// ValStat lands inside its own step's snapshot. Every rank's state
-		// is identical at this boundary (validation never advances the data
-		// stream or touches weights), so rank 0's capture stands for the
-		// world. The deep copy happens here; encoding and I/O happen on the
-		// writer goroutine.
-		if snap != nil && (step+1)%cfg.CheckpointEvery == 0 {
+		// ValStat lands inside its own step's snapshot. Every rank's weights
+		// are identical at this boundary (validation never advances the data
+		// stream or touches weights), so rank 0's stand for the world; a
+		// sharded run's optimizer state is gathered from its owners. The
+		// deep copy happens here; encoding and I/O happen on the writer
+		// goroutine.
+		boundary := cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0
+		if boundary && sharded && c.Rank() != 0 {
+			localOpt = optimizer.CaptureStateInto(localOpt)
+			sendOptShard(c, localOpt)
+		}
+		if snap != nil && boundary {
 			if easgdMode {
 				// The center variable is the model under EASGD (workers are
 				// exploration around it), and the checkpoint cadence is
@@ -1024,7 +1075,7 @@ func trainRank(c *mpi.Comm, cfg Config, classWeights []float32,
 					copy(d, center[i])
 				}
 			}
-			err := snap.capture(uint64(step+1), cfg, net, optimizer, scaler, skipped,
+			err := snap.capture(uint64(step+1), cfg, net, captureOpt, scaler, skipped,
 				histRecords, valRecords)
 			if easgdMode {
 				for i, p := range params {
@@ -1118,15 +1169,15 @@ type rankWorkspace struct {
 	feeds                map[*graph.Node]*tensor.Tensor
 
 	// Exchange scratch, reused every step so the hot loop allocates
-	// nothing: this step's gradient buffers by parameter index, which of
-	// them the backward pass produced, pooled zero substitutes for the
-	// ones it didn't, the readiness order, the optimizer's parameter slice,
-	// and the 1-float collective buffer.
+	// nothing: this step's gradients by parameter index (the tensors the
+	// executor delivered and their buffers), which of them the backward
+	// pass produced, pooled zero substitutes for the ones it didn't, the
+	// readiness order, and the 1-float collective buffer.
+	grads      []*tensor.Tensor
 	gradBufs   [][]float32
 	pushed     []bool
-	zeroBufs   [][]float32
+	zeroGrads  []*tensor.Tensor
 	readyOrder []horovod.TensorID
-	ps         []opt.Param
 	lossBuf    []float32
 }
 
@@ -1136,25 +1187,27 @@ func newRankWorkspace(net *models.Network) *rankWorkspace {
 
 // initExchange sizes the per-step exchange scratch for n parameters.
 func (rw *rankWorkspace) initExchange(n int) {
+	rw.grads = make([]*tensor.Tensor, n)
 	rw.gradBufs = make([][]float32, n)
 	rw.pushed = make([]bool, n)
-	rw.zeroBufs = make([][]float32, n)
+	rw.zeroGrads = make([]*tensor.Tensor, n)
 	rw.readyOrder = make([]horovod.TensorID, 0, n)
-	rw.ps = make([]opt.Param, n)
 	rw.lossBuf = make([]float32, 1)
 }
 
-// zeroGrad returns the rank's reusable zero gradient for parameter i (n
-// elements), drawn from the workspace pool on first use and re-zeroed on
-// every later one — the exchange may have left the previous step's sums in
-// it.
-func (rw *rankWorkspace) zeroGrad(i, n int) []float32 {
-	buf := rw.zeroBufs[i]
-	if buf == nil {
-		buf = rw.pool.GetF32(n)
-		rw.zeroBufs[i] = buf
+// zeroGrad installs the rank's reusable zero gradient for parameter i as
+// this step's gradient and returns its buffer. The tensor is drawn from the
+// workspace pool on first use and re-zeroed on every later one — the
+// exchange may have left the previous step's sums in it.
+func (rw *rankWorkspace) zeroGrad(i int, shape tensor.Shape) []float32 {
+	z := rw.zeroGrads[i]
+	if z == nil {
+		z = tensor.FromSlice(shape, rw.pool.GetF32(shape.NumElements()))
+		rw.zeroGrads[i] = z
 	}
+	buf := z.Data()
 	clear(buf)
+	rw.grads[i], rw.gradBufs[i] = z, buf
 	return buf
 }
 

@@ -20,7 +20,6 @@ const (
 	tagAllreduce = 1 << 20
 	tagBcast     = 2 << 20
 	tagBarrier   = 3 << 20
-	tagGather    = 4 << 20
 )
 
 type message struct {
@@ -337,24 +336,4 @@ func (c *Comm) Bcast(root int, data []float32) {
 			}
 		}
 	}
-}
-
-// Gather collects each rank's value at root; returns the slice at root
-// (nil elsewhere). Linear algorithm (used only for small diagnostics).
-func (c *Comm) Gather(root int, value float32) []float32 {
-	if c.rank == root {
-		out := make([]float32, c.Size())
-		out[root] = value
-		for i := 0; i < c.Size(); i++ {
-			if i == root {
-				continue
-			}
-			got := c.Recv(i, tagGather)
-			out[i] = got[0]
-			c.Release(got)
-		}
-		return out
-	}
-	c.Send(root, tagGather, []float32{value})
-	return nil
 }

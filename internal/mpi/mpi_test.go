@@ -143,22 +143,6 @@ func TestBcast(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	w := NewWorld(simnet.Loopback(5))
-	w.Run(func(c *Comm) {
-		got := c.Gather(2, float32(c.Rank()*c.Rank()))
-		if c.Rank() == 2 {
-			for i, v := range got {
-				if v != float32(i*i) {
-					t.Errorf("gather[%d] = %g", i, v)
-				}
-			}
-		} else if got != nil {
-			t.Errorf("non-root got %v", got)
-		}
-	})
-}
-
 func testAllreduceCorrect(t *testing.T, alg Algorithm, n, length int) {
 	t.Helper()
 	// Each rank contributes rank-dependent values; expected sum is known.

@@ -127,6 +127,12 @@ type LARC struct {
 	// Clip selects clipping mode (true, the paper's usage): effective layer
 	// rate = min(Trust·‖w‖/‖g‖, lr). False selects pure scaling mode.
 	Clip bool
+
+	// scaled and scratch are Step's reused storage: the parameter list
+	// handed to the base optimizer and, per parameter name, the rescaled
+	// gradient copy, so a steady-state step allocates nothing.
+	scaled  []Param
+	scratch map[string]*tensor.Tensor
 }
 
 // NewLARC wraps base with LARC using the given trust coefficient.
@@ -144,7 +150,13 @@ func (l *LARC) SetLR(lr float64) { l.Base.SetLR(lr) }
 // base optimizer (at its own learning rate) realizes the LARC-adapted rate.
 func (l *LARC) Step(params []Param) {
 	lr := l.Base.LR()
-	scaled := make([]Param, len(params))
+	if cap(l.scaled) < len(params) {
+		l.scaled = make([]Param, len(params))
+	}
+	scaled := l.scaled[:len(params)]
+	if l.scratch == nil {
+		l.scratch = make(map[string]*tensor.Tensor)
+	}
 	for i, p := range params {
 		wNorm := tensor.L2Norm(p.Value.Data())
 		gNorm := tensor.L2Norm(p.Grad.Data())
@@ -158,7 +170,8 @@ func (l *LARC) Step(params []Param) {
 				ratio = localRate / lr
 			}
 		}
-		g := p.Grad.Clone()
+		g := cloneInto(l.scratch[p.Name], p.Grad)
+		l.scratch[p.Name] = g
 		tensor.Scale(float32(ratio), g.Data())
 		scaled[i] = Param{Name: p.Name, Value: p.Value, Grad: g}
 	}
@@ -205,24 +218,39 @@ func (l *LagN) LR() float64 { return l.Base.LR() }
 // SetLR implements Optimizer.
 func (l *LagN) SetLR(lr float64) { l.Base.SetLR(lr) }
 
-// Step implements Optimizer: enqueue this step's gradients (snapshotted, so
-// the caller may reuse buffers) and apply the gradients from Lag steps ago.
+// Step implements Optimizer: apply the gradients from Lag steps ago and
+// enqueue this step's (snapshotted, so the caller may reuse buffers). The
+// first Lag steps only enqueue; after them, the set just applied lends its
+// storage to this step's snapshot, so a steady-state step allocates nothing.
 func (l *LagN) Step(params []Param) {
 	if l.Lag == 0 {
 		l.Base.Step(params)
 		return
 	}
-	snap := make([]Param, len(params))
+	var set []Param
+	if len(l.q) >= l.Lag {
+		set = l.q[0]
+		l.Base.Step(set)
+		copy(l.q, l.q[1:])
+		l.q = l.q[:len(l.q)-1]
+	}
+	if len(set) != len(params) {
+		set = make([]Param, len(params))
+	}
 	for i, p := range params {
-		snap[i] = Param{Name: p.Name, Value: p.Value, Grad: p.Grad.Clone()}
+		set[i] = Param{Name: p.Name, Value: p.Value, Grad: cloneInto(set[i].Grad, p.Grad)}
 	}
-	l.q = append(l.q, snap)
-	if len(l.q) <= l.Lag {
-		return // warmup: nothing old enough to apply yet
+	l.q = append(l.q, set)
+}
+
+// cloneInto copies src into dst and returns dst when their shapes match,
+// and otherwise returns a fresh clone of src.
+func cloneInto(dst, src *tensor.Tensor) *tensor.Tensor {
+	if dst == nil || !dst.Shape().Equal(src.Shape()) {
+		return src.Clone()
 	}
-	old := l.q[0]
-	l.q = l.q[1:]
-	l.Base.Step(old)
+	copy(dst.Data(), src.Data())
+	return dst
 }
 
 // PendingSteps reports how many gradient sets are queued but unapplied.

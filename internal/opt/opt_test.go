@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/racecheck"
 	"repro/internal/tensor"
 )
 
@@ -225,5 +226,30 @@ func TestSetLRPropagates(t *testing.T) {
 	larc.SetLR(0.5)
 	if larc.LR() != 0.5 {
 		t.Fatal("SetLR did not propagate through wrappers")
+	}
+}
+
+// TestLagLARCAdamStepAllocs pins the trainer's deepest optimizer stack,
+// Lag(1)→LARC→Adam, at zero heap allocations per steady-state step: the
+// lag queue recycles the set it applies and LARC reuses its rescaled
+// copies.
+func TestLagLARCAdamStepAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts under the race detector describe the detector")
+	}
+	rng := rand.New(rand.NewSource(3))
+	ps := []Param{quadParam(rng, 16), quadParam(rng, 48)}
+	ps[1].Name = "b"
+	lag := NewLag(NewLARC(NewAdam(1e-2), 0.01), 1)
+	step := func() {
+		for _, p := range ps {
+			fillQuadGrad(p, 0.5)
+		}
+		lag.Step(ps)
+	}
+	step()
+	step() // the queue and the moments now exist
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Errorf("a steady-state Lag(1)→LARC→Adam step allocates %.1f objects, want 0", n)
 	}
 }
