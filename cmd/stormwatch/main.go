@@ -26,6 +26,7 @@ import (
 
 	"repro/exaclim"
 	"repro/internal/climate"
+	"repro/internal/stream"
 )
 
 func main() {
@@ -52,13 +53,13 @@ func main() {
 	vizEvery := flag.Int("viz-every", 8, "frames between -viz-dir snapshots")
 	flag.Parse()
 
-	policy, err := parsePolicy(*policyName)
+	policy, err := stream.ParsePolicy(*policyName)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-policy: %v", err)
 	}
-	profile, err := parseProfile(*profileName)
+	profile, err := stream.ParseProfile(*profileName)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-profile: %v", err)
 	}
 	if *duration <= 0 && *maxFrames <= 0 {
 		log.Fatal("give -duration and/or -max-frames: an unbounded synthetic source cannot be planned")
@@ -187,26 +188,4 @@ func printSummary(res *exaclim.StreamResult, watcher *exaclim.StormWatcher) {
 		fmt.Printf("  %s track: frames %d–%d (%d), drift (Δy %+.1f, Δx %+.1f), peak wind %.1f m/s\n",
 			name, tr.Frames[0], tr.Frames[len(tr.Frames)-1], tr.Duration(), dy, dx, tr.PeakWind())
 	}
-}
-
-func parsePolicy(s string) (exaclim.StreamPolicy, error) {
-	switch s {
-	case "block":
-		return exaclim.StreamBlock, nil
-	case "drop-oldest":
-		return exaclim.StreamDropOldest, nil
-	case "degrade":
-		return exaclim.StreamDegrade, nil
-	}
-	return 0, fmt.Errorf("unknown -policy %q (want block, drop-oldest, or degrade)", s)
-}
-
-func parseProfile(s string) (exaclim.StreamProfile, error) {
-	switch s {
-	case "steady":
-		return exaclim.StreamSteady, nil
-	case "diurnal":
-		return exaclim.StreamDiurnal, nil
-	}
-	return 0, fmt.Errorf("unknown -profile %q (want steady or diurnal)", s)
 }

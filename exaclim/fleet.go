@@ -11,6 +11,10 @@ import (
 	"repro/internal/tensor"
 )
 
+// ErrFleetClosed is returned by Fleet.Segment and Fleet.SwapCheckpoint
+// once the fleet is closed.
+var ErrFleetClosed = fleet.ErrClosed
+
 // FleetStat is the per-request record of sharded serving: tile counts
 // (including early-exited and re-dispatched tiles), latency, and the
 // weight version — generation number and training step — every tile of

@@ -585,6 +585,11 @@ func WithChurnPolicy(mode ChurnMode, period int, rho float64) Option {
 	}
 }
 
+// ErrNodeFailed is returned, wrapped, by a Run under WithNodeFailure that
+// cannot finish because every node failed, leaving no survivor to restart
+// on. Run still returns the Result of the steps completed.
+var ErrNodeFailed = core.ErrNodeFailed
+
 // WithNodeFailure schedules simulated node `node` to fail at training step
 // `atStep`: every rank it hosts stops contributing, the in-flight step
 // drains collectively on all ranks and is discarded, and the run restarts

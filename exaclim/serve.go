@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/infer"
 	"repro/internal/serve"
 	"repro/internal/tensor"
@@ -26,6 +27,17 @@ type ServerStats = serve.Stats
 // threshold, the storm/background tile census it was derived from, and the
 // exit rate it predicts.
 type ExitCalibration = infer.Calibration
+
+// Typed serving failures, matched with errors.Is.
+var (
+	// ErrServerClosed: Segment was called on a Server after Close.
+	ErrServerClosed = serve.ErrClosed
+	// ErrUnquantizable: INT8 serving met weights the quantizer cannot
+	// represent (NaN or Inf, as a diverged training run leaves them, or
+	// magnitudes so small the code step underflows). Model.Segment and
+	// Server.Segment return it wrapped.
+	ErrUnquantizable = compress.ErrUnquantizable
+)
 
 // ServerOption configures NewServer.
 type ServerOption func(*serverOptions)

@@ -24,13 +24,6 @@ import (
 
 const tagShard = 10 << 20
 
-// Reducer sums a buffer across all ranks in place. Implementations must be
-// called collectively by every rank in the world.
-type Reducer interface {
-	Reduce(c *mpi.Comm, data []float32)
-	Name() string
-}
-
 // Flat applies one MPI algorithm across all ranks, ignoring topology —
 // the baseline the hybrid improves on.
 type Flat struct {
@@ -39,10 +32,10 @@ type Flat struct {
 	Wire mpi.Wire
 }
 
-// Name implements Reducer.
+// Name implements horovod.Reducer.
 func (f Flat) Name() string { return "flat-" + f.Algorithm.String() }
 
-// Reduce implements Reducer.
+// Reduce implements horovod.Reducer.
 func (f Flat) Reduce(c *mpi.Comm, data []float32) {
 	c.AllreduceWire(data, f.Algorithm, f.Wire)
 }
@@ -82,7 +75,7 @@ func NewHybrid(fabric simnet.Fabric) *Hybrid {
 	return &Hybrid{Fabric: fabric, ShardRanks: 4, CrossAlgorithm: mpi.RecursiveDoubling}
 }
 
-// Name implements Reducer.
+// Name implements horovod.Reducer.
 func (h *Hybrid) Name() string {
 	return fmt.Sprintf("hybrid-%d-%s", h.ShardRanks, h.CrossAlgorithm)
 }
@@ -100,7 +93,7 @@ func (h *Hybrid) stateFor(c *mpi.Comm) *hybridState {
 	return st
 }
 
-// Reduce implements Reducer.
+// Reduce implements horovod.Reducer.
 func (h *Hybrid) Reduce(c *mpi.Comm, data []float32) {
 	st := h.stateFor(c)
 	local := st.local

@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/horovod"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
 )
 
 // runReducer executes a reducer on a fabric with rank-dependent inputs and
 // checks that every rank ends with the global sum. Returns the makespan.
-func runReducer(t *testing.T, r Reducer, fabric simnet.Fabric, length int) float64 {
+func runReducer(t *testing.T, r horovod.Reducer, fabric simnet.Fabric, length int) float64 {
 	t.Helper()
 	n := fabric.Size()
 	rng := rand.New(rand.NewSource(int64(n*7717 + length)))

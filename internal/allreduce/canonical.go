@@ -41,12 +41,12 @@ type CanonicalTree struct {
 	ActiveRanks int
 }
 
-// Name implements Reducer.
+// Name implements horovod.Reducer.
 func (t *CanonicalTree) Name() string {
 	return fmt.Sprintf("canonical-tree-%d", t.ActiveRanks)
 }
 
-// Reduce implements Reducer. Must be called collectively; data is replaced
+// Reduce implements horovod.Reducer. Must be called collectively; data is replaced
 // on every rank by the canonical sum over the active ranks' buffers.
 func (t *CanonicalTree) Reduce(c *mpi.Comm, data []float32) {
 	active := t.ActiveRanks

@@ -172,7 +172,7 @@ func TestSplitProportions(t *testing.T) {
 	const n = 10000
 	counts := map[Split]int{}
 	for i := 0; i < n; i++ {
-		counts[SplitOf(i)]++
+		counts[splitOf(i)]++
 	}
 	train := float64(counts[Train]) / n
 	test := float64(counts[Test]) / n
@@ -182,8 +182,8 @@ func TestSplitProportions(t *testing.T) {
 		t.Fatalf("split proportions off: %v", counts)
 	}
 	// Determinism.
-	if SplitOf(1234) != SplitOf(1234) {
-		t.Fatal("SplitOf not deterministic")
+	if splitOf(1234) != splitOf(1234) {
+		t.Fatal("splitOf not deterministic")
 	}
 }
 
@@ -223,17 +223,6 @@ func TestSampleBytes(t *testing.T) {
 	want := (NumChannels + 1) * testH * testW * 4
 	if d.SampleBytes() != want {
 		t.Fatalf("SampleBytes = %d want %d", d.SampleBytes(), want)
-	}
-}
-
-func TestChannelNamesComplete(t *testing.T) {
-	for i, n := range ChannelNames {
-		if n == "" {
-			t.Fatalf("channel %d unnamed", i)
-		}
-	}
-	if ChannelNames[ChTMQ] != "TMQ" || ChannelNames[ChPSL] != "PSL" {
-		t.Fatal("channel naming wrong")
 	}
 }
 

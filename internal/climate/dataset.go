@@ -29,9 +29,9 @@ func (s Split) String() string {
 	return fmt.Sprintf("Split(%d)", int(s))
 }
 
-// SplitOf deterministically assigns sample index i to a split with the
+// splitOf deterministically assigns sample index i to a split with the
 // 80/10/10 proportions (hashed so splits interleave through the dataset).
-func SplitOf(index int) Split {
+func splitOf(index int) Split {
 	h := uint64(index) * 0x9E3779B97F4A7C15
 	switch (h >> 33) % 10 {
 	case 8:
@@ -74,7 +74,7 @@ func (d *Dataset) SampleBytes() int {
 func (d *Dataset) Indices(s Split) []int {
 	var out []int
 	for i := 0; i < d.Size; i++ {
-		if SplitOf(i) == s {
+		if splitOf(i) == s {
 			out = append(out, i)
 		}
 	}

@@ -46,12 +46,6 @@ const (
 	NumChannels
 )
 
-// ChannelNames lists the CAM5 variable names by channel index.
-var ChannelNames = [NumChannels]string{
-	"TMQ", "PSL", "U850", "V850", "UBOT", "VBOT", "T200", "T500",
-	"TS", "PRECT", "Z200", "Z1000", "QREFHT", "OMEGA500", "U250", "V250",
-}
-
 // Sample is one climate snapshot with its ground-truth mask.
 type Sample struct {
 	Index  int
@@ -124,7 +118,7 @@ func GenerateInto(cfg GenConfig, index int, s *Sample) {
 		stampRiver(f, rng)
 	}
 
-	LabelInto(f, s.Labels)
+	labelInto(f, s.Labels)
 }
 
 // latitude returns the latitude in degrees of grid row y (row 0 = 90°N).

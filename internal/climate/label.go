@@ -18,13 +18,13 @@ import (
 func Label(fields *tensor.Tensor) *tensor.Tensor {
 	s := fields.Shape()
 	labels := tensor.New(tensor.Shape{s[1], s[2]})
-	LabelInto(fields, labels)
+	labelInto(fields, labels)
 	return labels
 }
 
-// LabelInto runs the labeling pipeline into an existing [H, W] tensor,
+// labelInto runs the labeling pipeline into an existing [H, W] tensor,
 // overwriting every element (so reused buffers need no prior clearing).
-func LabelInto(fields, labels *tensor.Tensor) {
+func labelInto(fields, labels *tensor.Tensor) {
 	sc := labelScratchPool.Get().(*labelScratch)
 	defer labelScratchPool.Put(sc)
 	sc.reset(labels.NumElements())

@@ -7,23 +7,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// NewIndexStream returns a rank's deterministic sample-index stream: each
-// call draws uniformly from indices with a generator seeded per (seed,
-// rank), so shards differ across ranks but every run — and the inline and
-// prefetched data paths — see the identical sequence. The derivation
-// matches the trainer's historical per-rank RNG exactly, so enabling the
-// prefetcher does not change which samples a run trains on.
-func NewIndexStream(indices []int, seed int64, rank int) func() int {
-	return NewIndexStreamAt(indices, seed, rank, 0)
-}
-
-// NewIndexStreamAt returns the same deterministic stream as NewIndexStream
-// fast-forwarded past the first skip draws. The stream's RNG state is a
-// pure function of (seed, rank, draws consumed), so a training run resuming
-// from a checkpoint taken after k steps reproduces the interrupted run's
+// newIndexStreamAt returns a rank's deterministic sample-index stream,
+// fast-forwarded past the first skip draws: each call draws uniformly from
+// indices with a generator seeded per (seed, rank), so shards differ across
+// ranks but every run — and the inline and prefetched data paths — see the
+// identical sequence. The derivation matches the trainer's historical
+// per-rank RNG exactly, so enabling the prefetcher does not change which
+// samples a run trains on. The stream's RNG state is a pure function of
+// (seed, rank, draws consumed), so a training run resuming from a
+// checkpoint taken after k steps reproduces the interrupted run's
 // remaining sample sequence exactly by replaying and discarding the k draws
 // it already trained on — the cursor IS the RNG state.
-func NewIndexStreamAt(indices []int, seed int64, rank int, skip uint64) func() int {
+func newIndexStreamAt(indices []int, seed int64, rank int, skip uint64) func() int {
 	rng := rand.New(rand.NewSource(seed*1_000_033 + int64(rank)*7919))
 	for i := uint64(0); i < skip; i++ {
 		rng.Intn(len(indices))
@@ -38,7 +33,7 @@ func NewIndexStreamAt(indices []int, seed int64, rank int, skip uint64) func() i
 // Next hands the consumer a finished sample from a bounded channel while
 // the generator is already filling the next slot, and Recycle returns the
 // slot once its contents have been copied into the step's feed tensors.
-// The index sequence is the rank's deterministic NewIndexStream, so a
+// The index sequence is the rank's deterministic index stream, so a
 // prefetched run trains on exactly the samples the inline loop would.
 type Prefetcher struct {
 	ready chan *Sample
@@ -47,15 +42,10 @@ type Prefetcher struct {
 	once  sync.Once
 }
 
-// NewPrefetcher starts the background generator for a rank's shard of the
-// dataset. depth bounds how many samples may be generated ahead of the
-// consumer (minimum 1; 2 gives double buffering). Stop it when done.
-func NewPrefetcher(d *Dataset, indices []int, seed int64, rank, depth int) *Prefetcher {
-	return NewPrefetcherAt(d, indices, seed, rank, depth, 0)
-}
-
-// NewPrefetcherAt starts the rank's prefetcher with its index stream
-// fast-forwarded past the first skip draws (see NewIndexStreamAt) — the
+// NewPrefetcherAt starts the background generator for a rank's shard of
+// the dataset, its index stream fast-forwarded past the first skip draws.
+// depth bounds how many samples may be generated ahead of the consumer
+// (minimum 1; 2 gives double buffering). Stop it when done. skip is the
 // resume entry point: a trainer that consumed k samples before a
 // checkpoint restarts its pipeline with skip=k and sees the identical
 // remaining sequence, regardless of how many samples the interrupted
@@ -79,7 +69,7 @@ func NewPrefetcherAt(d *Dataset, indices []int, seed int64, rank, depth int, ski
 			Labels: tensor.New(tensor.Shape{h, w}),
 		}
 	}
-	next := NewIndexStreamAt(indices, seed, rank, skip)
+	next := newIndexStreamAt(indices, seed, rank, skip)
 	cfg := d.Cfg
 	go func() {
 		for {

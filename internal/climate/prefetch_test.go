@@ -33,7 +33,7 @@ func TestIndexStreamMatchesInlineRNG(t *testing.T) {
 	// rank) derivation, so prefetched runs see identical shards.
 	indices := []int{2, 3, 5, 7, 11, 13, 17}
 	for rank := 0; rank < 3; rank++ {
-		next := NewIndexStream(indices, 42, rank)
+		next := newIndexStreamAt(indices, 42, rank, 0)
 		rng := rand.New(rand.NewSource(42*1_000_033 + int64(rank)*7919))
 		for i := 0; i < 50; i++ {
 			want := indices[rng.Intn(len(indices))]
@@ -51,8 +51,8 @@ func TestPrefetcherDeterministicSequence(t *testing.T) {
 	indices := ds.Indices(Train)
 	const rank, seed, draws = 1, 7, 12
 
-	next := NewIndexStream(indices, seed, rank)
-	p := NewPrefetcher(ds, indices, seed, rank, 2)
+	next := newIndexStreamAt(indices, seed, rank, 0)
+	p := NewPrefetcherAt(ds, indices, seed, rank, 2, 0)
 	defer p.Stop()
 	for i := 0; i < draws; i++ {
 		wantIdx := next()
@@ -81,8 +81,8 @@ func TestPrefetcherDeterministicSequence(t *testing.T) {
 func TestPrefetcherRanksDiffer(t *testing.T) {
 	ds := NewDataset(DefaultGenConfig(16, 16, 3), 30)
 	indices := ds.Indices(Train)
-	a := NewPrefetcher(ds, indices, 5, 0, 1)
-	b := NewPrefetcher(ds, indices, 5, 1, 1)
+	a := NewPrefetcherAt(ds, indices, 5, 0, 1, 0)
+	b := NewPrefetcherAt(ds, indices, 5, 1, 1, 0)
 	defer a.Stop()
 	defer b.Stop()
 	differ := false
@@ -102,7 +102,7 @@ func TestPrefetcherRanksDiffer(t *testing.T) {
 func TestPrefetcherStopUnblocks(t *testing.T) {
 	ds := NewDataset(DefaultGenConfig(8, 8, 3), 10)
 	indices := ds.Indices(Train)
-	p := NewPrefetcher(ds, indices, 1, 0, 2)
+	p := NewPrefetcherAt(ds, indices, 1, 0, 2, 0)
 	s := p.Next()
 	p.Stop()
 	p.Stop() // idempotent

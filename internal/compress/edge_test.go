@@ -45,8 +45,8 @@ func TestQuantizeSymInt8EdgeCases(t *testing.T) {
 			for i, v := range tc.values {
 				g := i / per
 				got := float64(scales[g]) * float64(codes[i])
-				if math.Abs(got-float64(v)) > MaxInt8Error(scales[g]) {
-					t.Fatalf("element %d: |%v − %v| exceeds bound %v", i, got, v, MaxInt8Error(scales[g]))
+				if math.Abs(got-float64(v)) > float64(scales[g])/2 {
+					t.Fatalf("element %d: |%v − %v| exceeds half a code step %v", i, got, v, float64(scales[g])/2)
 				}
 				if codes[i] == -128 {
 					t.Fatalf("element %d uses asymmetric code −128", i)

@@ -84,7 +84,3 @@ func QuantizeSymInt8(values []float32, groups int) (codes []int8, scales []float
 	}
 	return codes, scales, nil
 }
-
-// MaxInt8Error returns the reconstruction error bound of one group: half a
-// code step.
-func MaxInt8Error(scale float32) float64 { return float64(scale) / 2 }

@@ -37,7 +37,7 @@
 // every lost tile to a healthy shard, and routes around the corpse from
 // then on. Weights are identical on every shard, so re-dispatched tiles
 // produce bit-identical masks — the chaos suite asserts exactly that. When
-// no healthy shard remains, accepted requests fail with ErrNoShards.
+// no healthy shard remains, accepted requests fail with errNoShards.
 //
 // # Weight hot-swap
 //
@@ -71,9 +71,9 @@ import (
 var (
 	// ErrClosed is returned by Segment after Close.
 	ErrClosed = errors.New("fleet: fleet closed")
-	// ErrNoShards fails requests whose tiles cannot run anywhere: every
+	// errNoShards fails requests whose tiles cannot run anywhere: every
 	// shard in the fleet is dead.
-	ErrNoShards = errors.New("fleet: no healthy shards")
+	errNoShards = errors.New("fleet: no healthy shards")
 )
 
 // Message tags above the mpi collectives' namespaces.

@@ -1,4 +1,4 @@
-package fleet_test
+package fleet
 
 import (
 	"context"
@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/infer"
 	"repro/internal/models"
@@ -38,8 +37,8 @@ func buildNet(th, tw int, seed int64) *infer.Network {
 	return &infer.Network{Graph: g, Images: images, Logits: logits, Exit: h}
 }
 
-func testConfig(mods ...func(*fleet.Config)) fleet.Config {
-	cfg := fleet.Config{
+func testConfig(mods ...func(*Config)) Config {
+	cfg := Config{
 		Shards:        2,
 		ShardReplicas: 2,
 		MaxBatch:      4,
@@ -53,7 +52,7 @@ func testConfig(mods ...func(*fleet.Config)) fleet.Config {
 }
 
 // reference computes the expected mask through a private serial engine.
-func reference(t testing.TB, src *infer.Network, cfg fleet.Config, fields *tensor.Tensor) *tensor.Tensor {
+func reference(t testing.TB, src *infer.Network, cfg Config, fields *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
 	tc := cfg.Tile
 	tc.MaxBatch = 1
@@ -77,7 +76,7 @@ func assertMaskEqual(t testing.TB, want, got *tensor.Tensor, what string) {
 func TestFleetMatchesSerialEngine(t *testing.T) {
 	src := buildNet(8, 8, 3)
 	cfg := testConfig()
-	f, err := fleet.New(src, cfg)
+	f, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +127,11 @@ func TestFleetShardParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, reps := range []int{1, 3} {
 			t.Run(fmt.Sprintf("shards=%d/replicas=%d", shards, reps), func(t *testing.T) {
-				cfg := testConfig(func(c *fleet.Config) {
+				cfg := testConfig(func(c *Config) {
 					c.Shards = shards
 					c.ShardReplicas = reps
 				})
-				f, err := fleet.New(src, cfg)
+				f, err := New(src, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +155,7 @@ func TestFleetEarlyExitParity(t *testing.T) {
 	src := buildNet(8, 8, 3)
 	rng := rand.New(rand.NewSource(11))
 	fields := tensor.RandNormal(tensor.Shape{3, 19, 27}, 0, 1, rng)
-	cfg := testConfig(func(c *fleet.Config) {
+	cfg := testConfig(func(c *Config) {
 		c.Shards = 3
 		c.EarlyExit = true
 	})
@@ -207,7 +206,7 @@ func TestFleetEarlyExitParity(t *testing.T) {
 		t.Fatalf("degenerate exit split %d/%d", exitedRef, len(plan))
 	}
 
-	f, err := fleet.New(src, cfg)
+	f, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +230,11 @@ func TestFleetChaos(t *testing.T) {
 	const shards = 3
 	ff := simnet.NewFaultFabric(simnet.ServingCluster(shards))
 	ff.FailNode(2, 3) // shard 1 dies once it sees traffic from request 3 on
-	cfg := testConfig(func(c *fleet.Config) {
+	cfg := testConfig(func(c *Config) {
 		c.Shards = shards
 		c.Fabric = ff
 	})
-	f, err := fleet.New(src, cfg)
+	f, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +263,7 @@ func TestFleetChaos(t *testing.T) {
 		switch {
 		case errs[i] == nil:
 			assertMaskEqual(t, wants[i%len(fields)], masks[i], fmt.Sprintf("request %d after chaos", i))
-		case errors.Is(errs[i], fleet.ErrNoShards) || errors.Is(errs[i], fleet.ErrClosed):
+		case errors.Is(errs[i], errNoShards) || errors.Is(errs[i], ErrClosed):
 			// Typed failure: acceptable only if the fleet genuinely ran out
 			// of shards, which it cannot here (2 of 3 survive).
 			t.Errorf("request %d failed %v with survivors available", i, errs[i])
@@ -285,18 +284,18 @@ func TestFleetChaos(t *testing.T) {
 }
 
 // TestFleetAllShardsDead: when chaos takes every shard, accepted requests
-// fail with ErrNoShards — typed, not hung, not silent.
+// fail with errNoShards — typed, not hung, not silent.
 func TestFleetAllShardsDead(t *testing.T) {
 	src := buildNet(8, 8, 3)
 	const shards = 2
 	ff := simnet.NewFaultFabric(simnet.ServingCluster(shards))
 	ff.FailNode(1, 1)
 	ff.FailNode(2, 1)
-	cfg := testConfig(func(c *fleet.Config) {
+	cfg := testConfig(func(c *Config) {
 		c.Shards = shards
 		c.Fabric = ff
 	})
-	f, err := fleet.New(src, cfg)
+	f, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +303,8 @@ func TestFleetAllShardsDead(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	fields := tensor.RandNormal(tensor.Shape{3, 19, 27}, 0, 1, rng)
 	for i := 0; i < 3; i++ {
-		if _, _, err := f.Segment(context.Background(), fields); !errors.Is(err, fleet.ErrNoShards) {
-			t.Fatalf("request %d: err = %v, want ErrNoShards", i, err)
+		if _, _, err := f.Segment(context.Background(), fields); !errors.Is(err, errNoShards) {
+			t.Fatalf("request %d: err = %v, want errNoShards", i, err)
 		}
 	}
 	if st := f.Stats(); st.Failed != 3 || st.DeadShards != shards {
@@ -332,7 +331,7 @@ func captureState(t testing.TB, net *infer.Network, step uint64) *models.TrainSt
 func TestFleetHotSwapAtomicity(t *testing.T) {
 	const versions = 4
 	src := buildNet(8, 8, 3)
-	cfg := testConfig(func(c *fleet.Config) {
+	cfg := testConfig(func(c *Config) {
 		c.Shards = 3
 		c.NewNetwork = func() (*infer.Network, error) { return buildNet(8, 8, 3), nil }
 	})
@@ -364,14 +363,14 @@ func TestFleetHotSwapAtomicity(t *testing.T) {
 		t.Fatal("all weight versions segment identically; atomicity unprovable")
 	}
 
-	f, err := fleet.New(src, cfg)
+	f, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	type result struct {
 		mask *tensor.Tensor
-		stat fleet.RequestStat
+		stat RequestStat
 		err  error
 	}
 	var (
@@ -431,13 +430,13 @@ func TestFleetHotSwapAtomicity(t *testing.T) {
 // a typed error, not a panic.
 func TestFleetSwapRequiresFactory(t *testing.T) {
 	src := buildNet(8, 8, 3)
-	f, err := fleet.New(src, testConfig())
+	f, err := New(src, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.SwapWeights(captureState(t, src, 1)); !errors.Is(err, fleet.ErrNoFactory) {
-		t.Fatalf("err = %v, want ErrNoFactory", err)
+	if err := f.SwapWeights(captureState(t, src, 1)); !errors.Is(err, errNoFactory) {
+		t.Fatalf("err = %v, want errNoFactory", err)
 	}
 }
 
@@ -445,7 +444,7 @@ func TestFleetSwapRequiresFactory(t *testing.T) {
 // the directory and rolls it in; serving output follows the latest step.
 func TestFleetSwapper(t *testing.T) {
 	src := buildNet(8, 8, 3)
-	cfg := testConfig(func(c *fleet.Config) {
+	cfg := testConfig(func(c *Config) {
 		c.NewNetwork = func() (*infer.Network, error) { return buildNet(8, 8, 3), nil }
 	})
 	rng := rand.New(rand.NewSource(23))
@@ -453,7 +452,7 @@ func TestFleetSwapper(t *testing.T) {
 	vn := buildNet(8, 8, 200)
 	want := reference(t, vn, cfg, fields)
 
-	f, err := fleet.New(src, cfg)
+	f, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,15 +496,15 @@ func TestFleetConcurrentCloseWaitsForDrain(t *testing.T) {
 	src := buildNet(8, 8, 3)
 	var closedAt atomic.Int64
 	var lateFinish atomic.Int64
-	cfg := testConfig(func(c *fleet.Config) {
+	cfg := testConfig(func(c *Config) {
 		c.Shards = 3
-		c.OnStat = func(fleet.RequestStat) {
+		c.OnStat = func(RequestStat) {
 			if at := closedAt.Load(); at != 0 && time.Now().UnixNano() > at {
 				lateFinish.Add(1)
 			}
 		}
 	})
-	f, err := fleet.New(src, cfg)
+	f, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +525,7 @@ func TestFleetConcurrentCloseWaitsForDrain(t *testing.T) {
 				default:
 				}
 				_, _, err := f.Segment(context.Background(), fields)
-				if errors.Is(err, fleet.ErrClosed) {
+				if errors.Is(err, ErrClosed) {
 					return
 				}
 				if err != nil {
@@ -559,7 +558,7 @@ func TestFleetConcurrentCloseWaitsForDrain(t *testing.T) {
 	if lateFinish.Load() != 0 {
 		t.Errorf("%d requests finished after a Close call returned", lateFinish.Load())
 	}
-	if _, _, err := f.Segment(context.Background(), fields); !errors.Is(err, fleet.ErrClosed) {
+	if _, _, err := f.Segment(context.Background(), fields); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-close Segment err = %v, want ErrClosed", err)
 	}
 	if accepted.Load() == 0 {
@@ -571,7 +570,7 @@ func TestFleetConcurrentCloseWaitsForDrain(t *testing.T) {
 // request typed and leaves the fleet serving.
 func TestFleetCancelInFlight(t *testing.T) {
 	src := buildNet(8, 8, 3)
-	f, err := fleet.New(src, testConfig())
+	f, err := New(src, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func (rt *routerState) dispatch() {
 		s := rt.route(j)
 		switch s {
 		case -2:
-			j.req.fail(ErrNoShards)
+			j.req.fail(errNoShards)
 			rt.inflight--
 			j.req.finish(f, 1)
 			continue
@@ -259,7 +259,7 @@ func (rt *routerState) gatherResult(m *wireResult, payload []float32) {
 		rt.markDead(j.shard)
 		if !j.req.failed() {
 			if rt.healthy() == 0 {
-				j.req.fail(ErrNoShards)
+				j.req.fail(errNoShards)
 			} else {
 				// Re-dispatch: the tile re-enters the queue and runs on a
 				// live shard with the same pinned weight generation.

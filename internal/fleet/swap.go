@@ -10,9 +10,9 @@ import (
 	"repro/internal/models"
 )
 
-// ErrNoFactory is returned by SwapWeights when the fleet was built without
+// errNoFactory is returned by SwapWeights when the fleet was built without
 // a Config.NewNetwork factory.
-var ErrNoFactory = errors.New("fleet: hot swap needs Config.NewNetwork")
+var errNoFactory = errors.New("fleet: hot swap needs Config.NewNetwork")
 
 // generation is one installed weight version. Every Segment request pins
 // the generation current at its admission and holds it live (inflight)
@@ -49,7 +49,7 @@ type generation struct {
 // Close may return ErrClosed after the fleet has drained.
 func (f *Fleet) SwapWeights(state *models.TrainState) error {
 	if f.cfg.NewNetwork == nil {
-		return ErrNoFactory
+		return errNoFactory
 	}
 	f.swapMu.Lock()
 	defer f.swapMu.Unlock()

@@ -115,11 +115,11 @@ type ScratchOp interface {
 	BackwardScratch(in []*tensor.Tensor, out, gradOut *tensor.Tensor, ws *tensor.Workspace) []*tensor.Tensor
 }
 
-// CachedOp is implemented by ops that keep per-instance kernel caches
+// cachedOp is implemented by ops that keep per-instance kernel caches
 // between forward and backward (pooling index maps, saved batch
 // statistics, dropout masks). ReleaseCaches drops them; the op stays
 // fully usable and simply recomputes or re-sizes on its next execution.
-type CachedOp interface {
+type cachedOp interface {
 	ReleaseCaches()
 }
 
@@ -129,7 +129,7 @@ type CachedOp interface {
 // pinned as long as the model object lives.
 func ReleaseOpCaches(g *Graph) {
 	for _, n := range g.nodes {
-		if c, ok := n.Op.(CachedOp); ok {
+		if c, ok := n.Op.(cachedOp); ok {
 			c.ReleaseCaches()
 		}
 	}

@@ -2,7 +2,7 @@ package graph
 
 import "fmt"
 
-// InferenceCloner is implemented by ops whose training instance cannot be
+// inferenceCloner is implemented by ops whose training instance cannot be
 // shared with an inference graph: either the op keeps per-instance kernel
 // state (pooling index maps, dropout masks) that ties an instance to a
 // single executor, or its inference semantics differ from its training
@@ -12,7 +12,7 @@ import "fmt"
 //
 // Ops that do not implement the interface are treated as stateless and
 // shared by reference between the training graph and its inference clones.
-type InferenceCloner interface {
+type inferenceCloner interface {
 	Op
 	CloneForInference() Op
 }
@@ -46,7 +46,7 @@ type FuseRule func(n *Node) (op Op, inputs []*Node, absorbed []*Node, ok bool)
 //     weights are read-only during inference, so replicas and batch-size
 //     variants of one model cost no extra parameter memory. Training the
 //     original model concurrently with executing a clone is a data race.
-//   - Ops implementing InferenceCloner are replaced by fresh inference-mode
+//   - Ops implementing inferenceCloner are replaced by fresh inference-mode
 //     instances; all other ops are shared.
 //   - Nodes not reachable from root (e.g. the loss head and its label and
 //     weight-map inputs) are pruned, so inference feeds only the inputs it
@@ -153,7 +153,7 @@ func CloneForInference(g *Graph, root *Node, batch int, fuse FuseRule) (ng *Grap
 					continue
 				}
 				op, ins = p.op, p.inputs
-			} else if ic, ok := op.(InferenceCloner); ok {
+			} else if ic, ok := op.(inferenceCloner); ok {
 				op = ic.CloneForInference()
 			}
 			mins := make([]*Node, len(ins))

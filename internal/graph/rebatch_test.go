@@ -63,7 +63,7 @@ func TestCloneForInferencePrunesAndRebinds(t *testing.T) {
 		if !ok || n.Kind != graph.KindOp {
 			continue
 		}
-		if _, stateful := n.Op.(graph.InferenceCloner); stateful && cn.Op == n.Op {
+		if _, stateful := n.Op.(interface{ CloneForInference() graph.Op }); stateful && cn.Op == n.Op {
 			t.Errorf("stateful op %q shared with clone", n.Label)
 		}
 	}

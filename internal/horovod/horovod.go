@@ -80,8 +80,8 @@ type Stats struct {
 	WireBytes int64
 }
 
-// Reducer matches allreduce.Reducer without importing it (avoids a cycle
-// in tests; any func with this shape works).
+// Reducer is one all-reduce algorithm, called collectively by every rank:
+// allreduce's Flat, Hybrid and CanonicalTree implement it.
 type Reducer interface {
 	Reduce(c *mpi.Comm, data []float32)
 	Name() string
@@ -163,26 +163,4 @@ func (s *Session) recvCtl() ctlMsg {
 	_, meta := s.comm.RecvMeta(mpi.AnySource, tagCtlBase+s.epoch%epochWindow)
 	s.stats.CtlReceived++
 	return meta.(ctlMsg)
-}
-
-// ControlLoad analytically computes the worst-case per-rank control-message
-// counts for one step of T tensors on a world of the given size — the
-// quantity behind the paper's "millions of messages per second" rank-0
-// bottleneck. Returns the maximum over ranks of messages handled
-// (sent+received).
-func ControlLoad(worldSize, radix, tensors int) (root, maxInterior int) {
-	if worldSize == 1 {
-		return 0, 0
-	}
-	// Root: receives one aggregated readiness per child per tensor, sends
-	// one exec per child per tensor (unfused worst case).
-	rootChildren := min(radix, worldSize-1)
-	root = tensors * 2 * rootChildren
-	// Interior node: receives ≤ radix readiness + 1 exec, sends 1 readiness
-	// + ≤ radix exec relays per tensor.
-	maxInterior = tensors * (2*radix + 2)
-	if maxInterior > root && radix >= worldSize-1 {
-		maxInterior = root
-	}
-	return root, maxInterior
 }

@@ -192,26 +192,6 @@ func TestMultipleStepsReuseSession(t *testing.T) {
 	})
 }
 
-func TestControlLoadAnalytic(t *testing.T) {
-	// At the paper's full Summit scale with >100 tensors per step, the
-	// flat control plane forces rank 0 through millions of messages per
-	// step-second while the tree stays in the thousands.
-	const ranks, tensors = 27360, 110
-	flatRoot, _ := ControlLoad(ranks, ranks-1, tensors)
-	treeRoot, treeInterior := ControlLoad(ranks, 4, tensors)
-	t.Logf("per step: flat root %d msgs; tree root %d, interior %d",
-		flatRoot, treeRoot, treeInterior)
-	if flatRoot < 1_000_000 {
-		t.Fatalf("flat root load %d should exceed 1M per step", flatRoot)
-	}
-	if treeRoot > 2000 || treeInterior > 2000 {
-		t.Fatalf("tree loads %d/%d should be thousands at most", treeRoot, treeInterior)
-	}
-	if r, _ := ControlLoad(1, 4, tensors); r != 0 {
-		t.Fatal("single rank should need no control messages")
-	}
-}
-
 func TestRadixInsensitivityInRange(t *testing.T) {
 	// The paper observed no measurable step-time difference for r∈[2,8].
 	// In virtual time the negotiation cost is dwarfed by the collective,

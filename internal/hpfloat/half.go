@@ -9,29 +9,16 @@ package hpfloat
 
 import "math"
 
-// Half is an IEEE-754 binary16 value stored in its 16-bit wire format:
+// half is an IEEE-754 binary16 value stored in its 16-bit wire format:
 // 1 sign bit, 5 exponent bits (bias 15), 10 mantissa bits.
-type Half uint16
+type half uint16
 
-// Useful constants in wire format.
-const (
-	PositiveInfinity Half = 0x7C00
-	NegativeInfinity Half = 0xFC00
-	NaN              Half = 0x7E00
-	MaxValue         Half = 0x7BFF // 65504
-	SmallestNormal   Half = 0x0400 // 2^-14 ≈ 6.1e-5
-	SmallestSubnorm  Half = 0x0001 // 2^-24 ≈ 6.0e-8
-)
-
-// MaxFinite is the largest finite FP16 value as a float64.
-const MaxFinite = 65504.0
-
-// FromFloat32 converts a float32 to Half with round-to-nearest-even,
+// fromFloat32 converts a float32 to half with round-to-nearest-even,
 // following the same semantics as hardware F32→F16 conversion instructions:
 // overflow produces ±Inf, underflow denormalizes then flushes to ±0.
-func FromFloat32(f float32) Half {
+func fromFloat32(f float32) half {
 	bits := math.Float32bits(f)
-	sign := Half(bits>>16) & 0x8000
+	sign := half(bits>>16) & 0x8000
 	exp := int32(bits>>23) & 0xFF
 	mant := bits & 0x7FFFFF
 
@@ -39,7 +26,7 @@ func FromFloat32(f float32) Half {
 	case exp == 0xFF: // Inf or NaN
 		if mant != 0 {
 			// Preserve a quiet NaN; keep top mantissa bits for payload flavor.
-			return sign | 0x7C00 | Half(mant>>13) | 0x0200
+			return sign | 0x7C00 | half(mant>>13) | 0x0200
 		}
 		return sign | 0x7C00
 	case exp == 0 && mant == 0:
@@ -58,31 +45,31 @@ func FromFloat32(f float32) Half {
 		}
 		m := mant | 0x800000
 		shift := uint32(14 - e)
-		half := m >> shift
+		bits16 := m >> shift
 		// Round to nearest even on the bits shifted out.
 		rem := m & ((1 << shift) - 1)
 		halfway := uint32(1) << (shift - 1)
-		if rem > halfway || (rem == halfway && half&1 == 1) {
-			half++
+		if rem > halfway || (rem == halfway && bits16&1 == 1) {
+			bits16++
 		}
-		return sign | Half(half)
+		return sign | half(bits16)
 	}
 
 	// Normal case: keep top 10 mantissa bits, round-to-nearest-even on bit 13.
-	half := (uint32(e) << 10) | (mant >> 13)
+	bits16 := (uint32(e) << 10) | (mant >> 13)
 	rem := mant & 0x1FFF
-	if rem > 0x1000 || (rem == 0x1000 && half&1 == 1) {
-		half++ // may carry into the exponent, correctly producing Inf
+	if rem > 0x1000 || (rem == 0x1000 && bits16&1 == 1) {
+		bits16++ // may carry into the exponent, correctly producing Inf
 	}
-	return sign | Half(half)
+	return sign | half(bits16)
 }
 
-// Float32 converts a Half back to float32 exactly (every FP16 value is
+// Float32 converts a half back to float32 exactly (every FP16 value is
 // representable in FP32). Signaling NaNs are quieted with their payload
 // preserved, matching hardware F16→F32 conversion (and keeping this
 // reference bit-identical to the F16C vector kernel); NaNs produced by
-// FromFloat32 are already quiet, so round trips are unaffected.
-func (h Half) Float32() float32 {
+// fromFloat32 are already quiet, so round trips are unaffected.
+func (h half) Float32() float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h>>10) & 0x1F
 	mant := uint32(h) & 0x3FF
@@ -110,33 +97,30 @@ func (h Half) Float32() float32 {
 }
 
 // IsNaN reports whether h is a NaN.
-func (h Half) IsNaN() bool {
+func (h half) IsNaN() bool {
 	return h&0x7C00 == 0x7C00 && h&0x3FF != 0
 }
 
 // IsInf reports whether h is ±Inf.
-func (h Half) IsInf() bool {
+func (h half) IsInf() bool {
 	return h&0x7FFF == 0x7C00
 }
 
 // IsFinite reports whether h is neither Inf nor NaN.
-func (h Half) IsFinite() bool {
+func (h half) IsFinite() bool {
 	return h&0x7C00 != 0x7C00
 }
 
-// FromFloat64 converts a float64 via float32.
-func FromFloat64(f float64) Half { return FromFloat32(float32(f)) }
-
 // Float64 converts to float64.
-func (h Half) Float64() float64 { return float64(h.Float32()) }
+func (h half) Float64() float64 { return float64(h.Float32()) }
 
 // Add returns h+o computed in FP32 and rounded back to FP16, matching the
 // behaviour of a half-precision FMA datapath with an FP32 accumulator
 // truncated per operation.
-func (h Half) Add(o Half) Half { return FromFloat32(h.Float32() + o.Float32()) }
+func (h half) Add(o half) half { return fromFloat32(h.Float32() + o.Float32()) }
 
 // Mul returns h*o rounded to FP16.
-func (h Half) Mul(o Half) Half { return FromFloat32(h.Float32() * o.Float32()) }
+func (h half) Mul(o half) half { return fromFloat32(h.Float32() * o.Float32()) }
 
 // Sub returns h-o rounded to FP16.
-func (h Half) Sub(o Half) Half { return FromFloat32(h.Float32() - o.Float32()) }
+func (h half) Sub(o half) half { return fromFloat32(h.Float32() - o.Float32()) }

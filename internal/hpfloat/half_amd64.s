@@ -2,47 +2,11 @@
 
 // F16C vector conversion kernels. Every function processes 8 values per
 // iteration and leaves the tail (n % 8) to the Go wrapper. The conversions
-// are bit-identical to the software FromFloat32/Float32 reference:
+// are bit-identical to the software fromFloat32/Float32 reference:
 // VCVTPS2PH with imm8=0 is round-to-nearest-even with saturation to ±Inf,
 // denormal flush behaviour, and sNaN quieting matching the Go code, which
 // the exhaustive parity tests in simd_test.go prove over the whole FP16
 // space and directed FP32 boundary patterns.
-
-// func toHalfF16C(src *float32, dst *uint16, n int)
-// Converts n (a multiple of 8) float32s to FP16 wire format.
-TEXT ·toHalfF16C(SB), NOSPLIT, $0-24
-	MOVQ src+0(FP), SI
-	MOVQ dst+8(FP), DI
-	MOVQ n+16(FP), CX
-	SHRQ $3, CX
-loop8:
-	VMOVUPS    (SI), Y0
-	VCVTPS2PH  $0, Y0, X1
-	VMOVDQU    X1, (DI)
-	ADDQ       $32, SI
-	ADDQ       $16, DI
-	DECQ       CX
-	JNZ        loop8
-	VZEROUPPER
-	RET
-
-// func toFloat32F16C(src *uint16, dst *float32, n int)
-// Converts n (a multiple of 8) FP16 values to float32.
-TEXT ·toFloat32F16C(SB), NOSPLIT, $0-24
-	MOVQ src+0(FP), SI
-	MOVQ dst+8(FP), DI
-	MOVQ n+16(FP), CX
-	SHRQ $3, CX
-loop8:
-	VMOVDQU    (SI), X0
-	VCVTPH2PS  X0, Y1
-	VMOVUPS    Y1, (DI)
-	ADDQ       $16, SI
-	ADDQ       $32, DI
-	DECQ       CX
-	JNZ        loop8
-	VZEROUPPER
-	RET
 
 // func roundTripF16C(x *float32, n int)
 // Rounds n (a multiple of 8) float32s through FP16 in place — the FP16

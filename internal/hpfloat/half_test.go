@@ -10,7 +10,7 @@ import (
 func TestKnownValues(t *testing.T) {
 	cases := []struct {
 		f    float32
-		wire Half
+		wire half
 	}{
 		{0, 0x0000},
 		{1, 0x3C00},
@@ -23,8 +23,8 @@ func TestKnownValues(t *testing.T) {
 		{0.333251953125, 0x3555},        // nearest half to 1/3
 	}
 	for _, tc := range cases {
-		if got := FromFloat32(tc.f); got != tc.wire {
-			t.Errorf("FromFloat32(%g) = %#04x, want %#04x", tc.f, got, tc.wire)
+		if got := fromFloat32(tc.f); got != tc.wire {
+			t.Errorf("fromFloat32(%g) = %#04x, want %#04x", tc.f, got, tc.wire)
 		}
 		if back := tc.wire.Float32(); back != tc.f {
 			t.Errorf("Float32(%#04x) = %g, want %g", tc.wire, back, tc.f)
@@ -32,44 +32,51 @@ func TestKnownValues(t *testing.T) {
 	}
 }
 
+// FP16 wire patterns of the special values.
+const (
+	positiveInfinity half = 0x7C00
+	negativeInfinity half = 0xFC00
+	quietNaN         half = 0x7E00
+)
+
 func TestSpecialValues(t *testing.T) {
-	if FromFloat32(float32(math.Inf(1))) != PositiveInfinity {
+	if fromFloat32(float32(math.Inf(1))) != positiveInfinity {
 		t.Error("+Inf conversion wrong")
 	}
-	if FromFloat32(float32(math.Inf(-1))) != NegativeInfinity {
+	if fromFloat32(float32(math.Inf(-1))) != negativeInfinity {
 		t.Error("-Inf conversion wrong")
 	}
-	if !FromFloat32(float32(math.NaN())).IsNaN() {
+	if !fromFloat32(float32(math.NaN())).IsNaN() {
 		t.Error("NaN conversion wrong")
 	}
-	if !PositiveInfinity.IsInf() || !NegativeInfinity.IsInf() {
+	if !positiveInfinity.IsInf() || !negativeInfinity.IsInf() {
 		t.Error("IsInf wrong")
 	}
-	if PositiveInfinity.IsFinite() || NaN.IsFinite() {
+	if positiveInfinity.IsFinite() || quietNaN.IsFinite() {
 		t.Error("IsFinite wrong")
 	}
-	if NaN.IsInf() {
+	if quietNaN.IsInf() {
 		t.Error("NaN is not Inf")
 	}
-	if !math.IsNaN(float64(NaN.Float32())) {
+	if !math.IsNaN(float64(quietNaN.Float32())) {
 		t.Error("NaN round-trip lost NaN-ness")
 	}
 	// Overflow saturates to Inf.
-	if FromFloat32(70000) != PositiveInfinity {
+	if fromFloat32(70000) != positiveInfinity {
 		t.Error("overflow should give +Inf")
 	}
-	if FromFloat32(-70000) != NegativeInfinity {
+	if fromFloat32(-70000) != negativeInfinity {
 		t.Error("negative overflow should give -Inf")
 	}
 	// Deep underflow flushes to signed zero.
-	if FromFloat32(1e-12) != 0 {
+	if fromFloat32(1e-12) != 0 {
 		t.Error("underflow should give +0")
 	}
-	if FromFloat32(-1e-12) != 0x8000 {
+	if fromFloat32(-1e-12) != 0x8000 {
 		t.Error("negative underflow should give -0")
 	}
 	// Signed zero round-trips.
-	negZero := FromFloat32(float32(math.Copysign(0, -1)))
+	negZero := fromFloat32(float32(math.Copysign(0, -1)))
 	if negZero != 0x8000 {
 		t.Errorf("negative zero = %#04x", negZero)
 	}
@@ -79,30 +86,30 @@ func TestRoundToNearestEven(t *testing.T) {
 	// 1 + 2^-11 is exactly halfway between 1.0 and the next half
 	// (1 + 2^-10); ties go to even mantissa → 1.0.
 	f := float32(1) + float32(math.Pow(2, -11))
-	if got := FromFloat32(f); got != 0x3C00 {
+	if got := fromFloat32(f); got != 0x3C00 {
 		t.Errorf("tie should round to even (1.0), got %#04x (%g)", got, got.Float32())
 	}
 	// 1 + 3·2^-11 is halfway between 1+2^-10 (odd mantissa 1) and
 	// 1+2^-9 (even mantissa 2) → rounds up to even.
 	f = float32(1) + 3*float32(math.Pow(2, -11))
-	if got := FromFloat32(f); got != 0x3C02 {
+	if got := fromFloat32(f); got != 0x3C02 {
 		t.Errorf("tie should round up to even, got %#04x (%g)", got, got.Float32())
 	}
 	// Clearly above halfway rounds up (factor large enough to survive
 	// float32 rounding of the sum).
 	f = float32(1) + float32(math.Pow(2, -11))*1.25
-	if got := FromFloat32(f); got != 0x3C01 {
+	if got := fromFloat32(f); got != 0x3C01 {
 		t.Errorf("above halfway should round up, got %#04x", got)
 	}
 }
 
 func TestExhaustiveRoundTrip(t *testing.T) {
-	// Every FP16 bit pattern must survive Half → float32 → Half unchanged
+	// Every FP16 bit pattern must survive half → float32 → half unchanged
 	// (NaNs must stay NaN; payloads may differ).
 	for i := 0; i <= 0xFFFF; i++ {
-		h := Half(i)
+		h := half(i)
 		f := h.Float32()
-		back := FromFloat32(f)
+		back := fromFloat32(f)
 		if h.IsNaN() {
 			if !back.IsNaN() {
 				t.Fatalf("NaN %#04x did not survive round trip", i)
@@ -122,7 +129,7 @@ func TestConversionMonotonic(t *testing.T) {
 			return true
 		}
 		// Clamp into finite FP16 territory so Inf ties don't confuse order.
-		ha, hb := FromFloat32(a).Float32(), FromFloat32(b).Float32()
+		ha, hb := fromFloat32(a).Float32(), fromFloat32(b).Float32()
 		if a < b {
 			return ha <= hb
 		}
@@ -142,7 +149,7 @@ func TestRelativeErrorBound(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			v = -v
 		}
-		h := FromFloat64(v)
+		h := fromFloat32(float32(v))
 		rel := math.Abs(h.Float64()-v) / math.Abs(v)
 		if rel > math.Pow(2, -11) {
 			t.Fatalf("rel error %g for %g", rel, v)
@@ -151,7 +158,7 @@ func TestRelativeErrorBound(t *testing.T) {
 }
 
 func TestArithmetic(t *testing.T) {
-	a, b := FromFloat32(1.5), FromFloat32(2.25)
+	a, b := fromFloat32(1.5), fromFloat32(2.25)
 	if a.Add(b).Float32() != 3.75 {
 		t.Error("Add wrong")
 	}
@@ -162,38 +169,29 @@ func TestArithmetic(t *testing.T) {
 		t.Error("Sub wrong")
 	}
 	// Catastrophic FP16 absorption: 2048 + 1 == 2048 (spacing is 2 there).
-	big, one := FromFloat32(2048), FromFloat32(1)
+	big, one := fromFloat32(2048), fromFloat32(1)
 	if big.Add(one) != big {
 		t.Error("expected absorption at 2048+1")
 	}
 }
 
 func TestVectorKernels(t *testing.T) {
-	src := []float32{0, 1, -2, 0.5, 65504, 70000, 1e-12}
-	dst := make([]Half, len(src))
-	ToHalf(src, dst)
-	back := make([]float32, len(src))
-	ToFloat32(dst, back)
+	back := []float32{0, 1, -2, 0.5, 65504, 70000, 1e-12}
+	RoundTrip(back)
 	if back[0] != 0 || back[1] != 1 || back[2] != -2 || back[3] != 0.5 || back[4] != 65504 {
 		t.Fatalf("vector round trip wrong: %v", back)
 	}
-	if !dst[5].IsInf() {
+	if !math.IsInf(float64(back[5]), 1) {
 		t.Error("70000 should overflow")
 	}
 	if back[6] != 0 {
 		t.Error("1e-12 should flush to zero")
 	}
-	if !AnyNonFinite(dst) {
-		t.Error("AnyNonFinite missed the Inf")
-	}
-	if AnyNonFinite(dst[:5]) {
-		t.Error("AnyNonFinite false positive")
-	}
 
 	x := []float32{0.1, 0.2, 0.3}
 	RoundTrip(x)
 	for i, v := range x {
-		if FromFloat32(v).Float32() != v {
+		if fromFloat32(v).Float32() != v {
 			t.Errorf("RoundTrip[%d] not idempotent", i)
 		}
 	}
@@ -252,13 +250,13 @@ func TestScalingRescuesSmallGradients(t *testing.T) {
 	// The motivating behaviour: gradients below the FP16 subnormal floor
 	// vanish without scaling but survive with it.
 	tiny := float32(2e-8) // below half the smallest subnormal 2^-25 ≈ 2.98e-8
-	if FromFloat32(tiny) != 0 {
+	if fromFloat32(tiny) != 0 {
 		t.Fatal("test premise: tiny must underflow")
 	}
 	s := &LossScaler{Scale: 1024}
 	g := []float32{tiny}
 	s.Apply(g)
-	h := FromFloat32(g[0])
+	h := fromFloat32(g[0])
 	if h == 0 {
 		t.Fatal("scaled gradient still underflowed")
 	}
@@ -282,7 +280,7 @@ func TestPackWordsRoundtrip(t *testing.T) {
 		dst := make([]float32, n)
 		UnpackWords(words, dst)
 		for i := range src {
-			want := FromFloat32(src[i]).Float32()
+			want := fromFloat32(src[i]).Float32()
 			if dst[i] != want {
 				t.Fatalf("n=%d elem %d: unpack %v, want fp16 round %v", n, i, dst[i], want)
 			}
@@ -294,7 +292,7 @@ func TestPackWordsRoundtrip(t *testing.T) {
 		}
 		UnpackAddWords(words, acc)
 		for i := range acc {
-			want := 1000 + FromFloat32(src[i]).Float32()
+			want := 1000 + fromFloat32(src[i]).Float32()
 			if acc[i] != want {
 				t.Fatalf("n=%d elem %d: unpack-add %v, want %v", n, i, acc[i], want)
 			}

@@ -9,12 +9,6 @@ import "repro/internal/simd"
 // TestF16CBitExactAllHalves / TestF16CBitExactFloat32Sweep.
 
 //go:noescape
-func toHalfF16C(src *float32, dst *uint16, n int)
-
-//go:noescape
-func toFloat32F16C(src *uint16, dst *float32, n int)
-
-//go:noescape
 func roundTripF16C(x *float32, n int)
 
 //go:noescape
@@ -26,32 +20,6 @@ func unpackAddF16C(words *float32, dst *float32, n int)
 //go:noescape
 func unpackWordsF16C(words *float32, dst *float32, n int)
 
-// simdToHalf converts src into dst using F16C when available, reporting
-// whether it handled the call (false → caller runs the scalar path).
-func simdToHalf(src []float32, dst []Half) bool {
-	if !simd.UseF16C() || len(src) < 8 {
-		return false
-	}
-	n := len(src) &^ 7
-	toHalfF16C(&src[0], (*uint16)(&dst[0]), n)
-	for i := n; i < len(src); i++ {
-		dst[i] = FromFloat32(src[i])
-	}
-	return true
-}
-
-func simdToFloat32(src []Half, dst []float32) bool {
-	if !simd.UseF16C() || len(src) < 8 {
-		return false
-	}
-	n := len(src) &^ 7
-	toFloat32F16C((*uint16)(&src[0]), &dst[0], n)
-	for i := n; i < len(src); i++ {
-		dst[i] = src[i].Float32()
-	}
-	return true
-}
-
 func simdRoundTrip(x []float32) bool {
 	if !simd.UseF16C() || len(x) < 8 {
 		return false
@@ -59,7 +27,7 @@ func simdRoundTrip(x []float32) bool {
 	n := len(x) &^ 7
 	roundTripF16C(&x[0], n)
 	for i := n; i < len(x); i++ {
-		x[i] = FromFloat32(x[i]).Float32()
+		x[i] = fromFloat32(x[i]).Float32()
 	}
 	return true
 }

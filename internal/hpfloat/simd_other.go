@@ -5,9 +5,7 @@ package hpfloat
 // Scalar-only architectures: the SIMD entry points decline every call and
 // the portable reference implementations run.
 
-func simdToHalf(src []float32, dst []Half) bool    { return false }
-func simdToFloat32(src []Half, dst []float32) bool { return false }
-func simdRoundTrip(x []float32) bool               { return false }
-func simdPackWords(src, dst []float32) int         { return 0 }
-func simdUnpackAddWords(words, dst []float32) int  { return 0 }
-func simdUnpackWords(words, dst []float32) int     { return 0 }
+func simdRoundTrip(x []float32) bool              { return false }
+func simdPackWords(src, dst []float32) int        { return 0 }
+func simdUnpackAddWords(words, dst []float32) int { return 0 }
+func simdUnpackWords(words, dst []float32) int    { return 0 }

@@ -15,9 +15,9 @@ import (
 // functions of the value alone, independent of the active ISA.
 
 // refToHalf is the scalar reference, forced regardless of ISA.
-func refToHalf(src []float32, dst []Half) {
+func refToHalf(src []float32, dst []half) {
 	for i, v := range src {
-		dst[i] = FromFloat32(v)
+		dst[i] = fromFloat32(v)
 	}
 }
 
@@ -28,42 +28,23 @@ func requireSIMD(t *testing.T) {
 	}
 }
 
-// TestF16CBitExactAllHalves round-trips every representable FP16 value
-// (as float32) through both converters: 65536 cases, exhaustive.
+// TestF16CBitExactAllHalves rounds every representable FP16 value (as
+// float32) through the F16C round trip, which converts down and back up:
+// 65536 cases, exhaustive in both directions.
 func TestF16CBitExactAllHalves(t *testing.T) {
 	requireSIMD(t)
-	src := make([]float32, 1<<16)
-	for i := range src {
-		src[i] = Half(i).Float32()
-	}
-	got := make([]Half, len(src))
-	want := make([]Half, len(src))
-	ToHalf(src, got)
-	refToHalf(src, want)
+	got := make([]float32, 1<<16)
 	for i := range got {
+		got[i] = half(i).Float32()
+	}
+	RoundTrip(got)
+	for i, v := range got {
 		// NaNs: compare bit patterns exactly too — payload propagation
 		// must match the software converter.
-		if got[i] != want[i] {
-			t.Fatalf("half %#04x (%g): simd %#04x, scalar %#04x",
-				i, src[i], got[i], want[i])
-		}
-	}
-
-	// And the inverse direction: every half expands to the same float32.
-	gotF := make([]float32, len(src))
-	wantF := make([]float32, len(src))
-	halves := make([]Half, len(src))
-	for i := range halves {
-		halves[i] = Half(i)
-	}
-	ToFloat32(halves, gotF)
-	for i, h := range halves {
-		wantF[i] = h.Float32()
-	}
-	for i := range gotF {
-		if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) {
-			t.Fatalf("half %#04x: simd f32 %#08x, scalar %#08x",
-				i, math.Float32bits(gotF[i]), math.Float32bits(wantF[i]))
+		want := fromFloat32(half(i).Float32()).Float32()
+		if math.Float32bits(v) != math.Float32bits(want) {
+			t.Fatalf("half %#04x: simd %#08x, scalar %#08x",
+				i, math.Float32bits(v), math.Float32bits(want))
 		}
 	}
 }
@@ -97,16 +78,8 @@ func TestF16CBitExactFloat32Sweep(t *testing.T) {
 	for i, bits := range directed {
 		src[i] = math.Float32frombits(bits)
 	}
-	got := make([]Half, n)
-	want := make([]Half, n)
-	ToHalf(src, got)
+	want := make([]half, n)
 	refToHalf(src, want)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("f32 %#08x: simd %#04x, scalar %#04x",
-				math.Float32bits(src[i]), got[i], want[i])
-		}
-	}
 
 	// RoundTrip must agree bit-for-bit with convert-down-then-up.
 	rt := append([]float32(nil), src...)

@@ -6,35 +6,6 @@ import "math"
 // These model the "Type Conversions" kernel category that appears in the
 // paper's FP16 profiles (Figs 8 and 9).
 
-// ToHalf converts src into dst (FP16 wire format). Panics on length
-// mismatch. On AVX hardware the conversion runs through the F16C
-// VCVTPS2PH kernel, which is bit-identical to the software reference
-// (round-to-nearest-even, saturation, denormal flush, sNaN quieting).
-func ToHalf(src []float32, dst []Half) {
-	if len(src) != len(dst) {
-		panic("hpfloat: ToHalf length mismatch")
-	}
-	if simdToHalf(src, dst) {
-		return
-	}
-	for i, v := range src {
-		dst[i] = FromFloat32(v)
-	}
-}
-
-// ToFloat32 converts src (FP16) into dst (FP32).
-func ToFloat32(src []Half, dst []float32) {
-	if len(src) != len(dst) {
-		panic("hpfloat: ToFloat32 length mismatch")
-	}
-	if simdToFloat32(src, dst) {
-		return
-	}
-	for i, h := range src {
-		dst[i] = h.Float32()
-	}
-}
-
 // RoundTrip simulates storing a float32 slice in FP16: every element is
 // rounded to the nearest representable half and converted back, in place.
 // Running activations/gradients through RoundTrip reproduces the numerical
@@ -46,7 +17,7 @@ func RoundTrip(x []float32) {
 		return
 	}
 	for i, v := range x {
-		x[i] = FromFloat32(v).Float32()
+		x[i] = fromFloat32(v).Float32()
 	}
 }
 
@@ -65,11 +36,11 @@ func PackWords(src, dst []float32) {
 	}
 	i := simdPackWords(src, dst)
 	for ; i+1 < n; i += 2 {
-		w := uint32(FromFloat32(src[i])) | uint32(FromFloat32(src[i+1]))<<16
+		w := uint32(fromFloat32(src[i])) | uint32(fromFloat32(src[i+1]))<<16
 		dst[i/2] = math.Float32frombits(w)
 	}
 	if n%2 == 1 && i < n {
-		dst[n/2] = math.Float32frombits(uint32(FromFloat32(src[n-1])))
+		dst[n/2] = math.Float32frombits(uint32(fromFloat32(src[n-1])))
 	}
 }
 
@@ -81,11 +52,11 @@ func UnpackAddWords(words, dst []float32) {
 	i := simdUnpackAddWords(words, dst)
 	for ; i+1 < n; i += 2 {
 		w := math.Float32bits(words[i/2])
-		dst[i] += Half(w & 0xFFFF).Float32()
-		dst[i+1] += Half(w >> 16).Float32()
+		dst[i] += half(w & 0xFFFF).Float32()
+		dst[i+1] += half(w >> 16).Float32()
 	}
 	if n%2 == 1 && i < n {
-		dst[n-1] += Half(math.Float32bits(words[n/2]) & 0xFFFF).Float32()
+		dst[n-1] += half(math.Float32bits(words[n/2]) & 0xFFFF).Float32()
 	}
 }
 
@@ -95,23 +66,12 @@ func UnpackWords(words, dst []float32) {
 	i := simdUnpackWords(words, dst)
 	for ; i+1 < n; i += 2 {
 		w := math.Float32bits(words[i/2])
-		dst[i] = Half(w & 0xFFFF).Float32()
-		dst[i+1] = Half(w >> 16).Float32()
+		dst[i] = half(w & 0xFFFF).Float32()
+		dst[i+1] = half(w >> 16).Float32()
 	}
 	if n%2 == 1 && i < n {
-		dst[n-1] = Half(math.Float32bits(words[n/2]) & 0xFFFF).Float32()
+		dst[n-1] = half(math.Float32bits(words[n/2]) & 0xFFFF).Float32()
 	}
-}
-
-// AnyNonFinite reports whether any element of the FP16 slice is Inf or NaN.
-// Mixed-precision training uses this to detect loss-scale overflow.
-func AnyNonFinite(x []Half) bool {
-	for _, h := range x {
-		if !h.IsFinite() {
-			return true
-		}
-	}
-	return false
 }
 
 // LossScaler implements static/backoff loss scaling for mixed-precision

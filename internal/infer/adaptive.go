@@ -45,19 +45,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/graph"
 	"repro/internal/tensor"
-)
-
-// Precision aliases graph.Precision so serving callers configure the engine
-// without importing the graph package.
-type Precision = graph.Precision
-
-// Re-exported precision levels (see the contract above).
-const (
-	FP32 = graph.FP32
-	FP16 = graph.FP16
-	INT8 = graph.INT8
 )
 
 // HasExit reports whether the network carries an exit tap, i.e. whether the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/climate"
+	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/tensor"
 )
@@ -23,7 +24,7 @@ func TestQuantizedBatchParityAcrossBatchSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	fields := tensor.RandNormal(tensor.Shape{4, h, w}, 0, 1, rng)
 
-	for _, prec := range []Precision{FP16, INT8} {
+	for _, prec := range []graph.Precision{graph.FP16, graph.INT8} {
 		base := Config{TileH: tile, TileW: tile, Overlap: 2, Precision: prec}
 		tiles, err := Plan(h, w, base)
 		if err != nil {
@@ -59,7 +60,7 @@ func TestQuantizedBatchParityAcrossBatchSizes(t *testing.T) {
 // qualitative half, identical argmax masks, is asserted alongside).
 // Measured on the reference corpus: FP16 ≈ 6.5e-4, INT8 ≈ 2.6e-2; the
 // bounds carry ~2× headroom.
-var logitBounds = map[Precision]float64{FP16: 2e-3, INT8: 6e-2}
+var logitBounds = map[graph.Precision]float64{graph.FP16: 2e-3, graph.INT8: 6e-2}
 
 // TestQuantizedLogitErrorBoundAndMaskParity pins the precision contract on
 // a reference corpus of synthetic CAM5 snapshots: FP16 and INT8 logits stay
@@ -74,7 +75,7 @@ func TestQuantizedLogitErrorBoundAndMaskParity(t *testing.T) {
 	ds := climate.NewDataset(climate.DefaultGenConfig(h, w, 11), 3)
 
 	base := Config{TileH: tile, TileW: tile, Overlap: 2, MaxBatch: 4}
-	for _, prec := range []Precision{FP16, INT8} {
+	for _, prec := range []graph.Precision{graph.FP16, graph.INT8} {
 		cfg := base
 		cfg.Precision = prec
 		rq, err := NewRunner(inet, cfg)
@@ -109,7 +110,7 @@ func TestQuantizedLogitErrorBoundAndMaskParity(t *testing.T) {
 			t.Errorf("%v: max-abs logit error %v exceeds documented bound %v × max |logit| %v",
 				prec, maxErr, logitBounds[prec], scale)
 		}
-		if maxErr == 0 && prec == INT8 {
+		if maxErr == 0 && prec == graph.INT8 {
 			t.Errorf("%v: logit error is exactly zero — quantized kernels did not run", prec)
 		}
 		rq.Close()

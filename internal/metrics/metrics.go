@@ -1,14 +1,11 @@
-// Package metrics implements the paper's evaluation measures: the
+// Package metrics implements the paper's evaluation measure, the
 // intersection-over-union segmentation score (Section VII-D reports 59%
-// for Tiramisu and 73% for DeepLabv3+) and the sustained-throughput
-// statistics of Section VI (mean over ranks per step, median over time,
-// central 68% confidence interval from the 0.16/0.84 percentiles).
+// for Tiramisu and 73% for DeepLabv3+).
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/tensor"
 )
@@ -117,67 +114,4 @@ func (c *ConfusionMatrix) ClassFrequency(class int) float64 {
 		return 0
 	}
 	return float64(row) / float64(total)
-}
-
-// ThroughputStats summarizes a time series of per-step global throughput
-// samples per Section VI: the sustained value is the median over time, the
-// error bar the central 68% interval.
-type ThroughputStats struct {
-	Sustained float64 // median over steps
-	Lo        float64 // 0.16 percentile
-	Hi        float64 // 0.84 percentile
-	Mean      float64
-	Steps     int
-}
-
-// Throughput computes the Section VI statistics over per-step values
-// (e.g. samples/s summed over ranks, or PF/s).
-func Throughput(perStep []float64) ThroughputStats {
-	if len(perStep) == 0 {
-		return ThroughputStats{}
-	}
-	s := append([]float64(nil), perStep...)
-	sort.Float64s(s)
-	var mean float64
-	for _, v := range s {
-		mean += v
-	}
-	mean /= float64(len(s))
-	return ThroughputStats{
-		Sustained: quantile(s, 0.5),
-		Lo:        quantile(s, 0.16),
-		Hi:        quantile(s, 0.84),
-		Mean:      mean,
-		Steps:     len(s),
-	}
-}
-
-// quantile interpolates the q-th quantile of sorted data.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// ParallelEfficiency returns achieved/(perWorker·workers) — the paper's
-// weak-scaling efficiency measure against the single-worker rate.
-func ParallelEfficiency(achieved, perWorkerBaseline float64, workers int) float64 {
-	ideal := perWorkerBaseline * float64(workers)
-	if ideal == 0 {
-		return 0
-	}
-	return achieved / ideal
-}
-
-// FLOPRate converts a samples/s rate into FLOP/s given the per-sample
-// operation count (Section VI's conversion).
-func FLOPRate(samplesPerSec, flopsPerSample float64) float64 {
-	return samplesPerSec * flopsPerSample
 }

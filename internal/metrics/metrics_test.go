@@ -92,55 +92,3 @@ func TestMerge(t *testing.T) {
 		t.Fatalf("merge wrong: %v", a.Counts)
 	}
 }
-
-func TestThroughputStats(t *testing.T) {
-	// Constant series: all statistics equal the constant.
-	s := Throughput([]float64{5, 5, 5, 5})
-	if s.Sustained != 5 || s.Lo != 5 || s.Hi != 5 || s.Mean != 5 || s.Steps != 4 {
-		t.Fatalf("constant stats: %+v", s)
-	}
-	// Known series 1..100: median 50.5, p16 ≈ 16.84, p84 ≈ 84.16.
-	series := make([]float64, 100)
-	for i := range series {
-		series[i] = float64(i + 1)
-	}
-	st := Throughput(series)
-	if math.Abs(st.Sustained-50.5) > 1e-9 {
-		t.Fatalf("median = %g", st.Sustained)
-	}
-	if st.Lo < 15.5 || st.Lo > 18 || st.Hi < 83 || st.Hi > 85.5 {
-		t.Fatalf("CI = [%g, %g]", st.Lo, st.Hi)
-	}
-	if st.Lo >= st.Sustained || st.Hi <= st.Sustained {
-		t.Fatal("CI must bracket the median")
-	}
-	// Outlier robustness: one slow step barely moves the median.
-	withOutlier := append(append([]float64{}, series...), 0.001)
-	st2 := Throughput(withOutlier)
-	if math.Abs(st2.Sustained-50) > 1 {
-		t.Fatalf("median with outlier = %g", st2.Sustained)
-	}
-	// Empty and singleton.
-	if Throughput(nil).Steps != 0 {
-		t.Fatal("empty series")
-	}
-	if one := Throughput([]float64{7}); one.Sustained != 7 || one.Lo != 7 {
-		t.Fatal("singleton series")
-	}
-}
-
-func TestParallelEfficiencyAndFLOPRate(t *testing.T) {
-	// 90.7% efficiency example from the paper's abstract.
-	if e := ParallelEfficiency(0.907*27360*2.67, 2.67, 27360); math.Abs(e-0.907) > 1e-9 {
-		t.Fatalf("efficiency = %g", e)
-	}
-	if ParallelEfficiency(1, 0, 5) != 0 {
-		t.Fatal("zero baseline should give 0")
-	}
-	// Section VI conversion: 2.67 samples/s × 14.41 TF/sample ≈ 38.5 TF/s
-	// (the paper's single-GPU FP16 DeepLabv3+ row).
-	rate := FLOPRate(2.67, 14.41e12)
-	if rate < 38.0e12 || rate > 39.0e12 {
-		t.Fatalf("FLOP rate = %g", rate)
-	}
-}

@@ -6,7 +6,7 @@ import "repro/internal/hpfloat"
 // exascale runs move FP16 gradients between nodes (halving the bytes the
 // InfiniBand fabric carries) while every rank accumulates in FP32 — Wire
 // reproduces that datapath: WireFP16 packs two binary16 values per 32-bit
-// payload word on send (hpfloat.ToHalf semantics) and unpacks into FP32
+// payload word on send (hpfloat.PackWords) and unpacks into FP32
 // accumulation on receive.
 type Wire int
 

@@ -270,14 +270,6 @@ type Deconv2D struct {
 	Stride, Pad, OutPad int
 }
 
-// NewDeconv2D returns a transposed convolution with no output padding.
-func NewDeconv2D(stride, pad int) *Deconv2D {
-	if stride < 1 || pad < 0 {
-		panic("nn: invalid Deconv2D geometry")
-	}
-	return &Deconv2D{Stride: stride, Pad: pad}
-}
-
 // NewDeconv2DOutPad returns a transposed convolution with explicit output
 // padding (must be < Stride).
 func NewDeconv2DOutPad(stride, pad, outPad int) *Deconv2D {

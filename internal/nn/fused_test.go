@@ -13,6 +13,33 @@ import (
 // TestFusedConvBiasMatchesUnfused verifies the fused conv+bias(+ReLU)
 // kernel against the unfused conv→bias_add(→relu) chain, forward and
 // backward, for both ReLU modes and for 1×1 and 3×3 geometries.
+// biasAdd is the unfused bias step: out[n, c] = x[n, c] + b[c] over an
+// NCHW activation. Its gradient passes gradOut through to x unchanged and
+// reduces it over every axis but channels for b (biasGrad).
+func biasAdd(x, b *tensor.Tensor) *tensor.Tensor {
+	s := x.Shape()
+	hw := s[2] * s[3]
+	out := x.Clone()
+	for i, v := range out.Data() {
+		out.Data()[i] = v + b.Data()[i/hw%s[1]]
+	}
+	return out
+}
+
+func biasGrad(gradOut *tensor.Tensor) *tensor.Tensor {
+	s := gradOut.Shape()
+	hw := s[2] * s[3]
+	sums := make([]float64, s[1])
+	for i, v := range gradOut.Data() {
+		sums[i/hw%s[1]] += float64(v)
+	}
+	gb := tensor.New(tensor.Shape{s[1]})
+	for c, v := range sums {
+		gb.Data()[c] = float32(v)
+	}
+	return gb
+}
+
 func TestFusedConvBiasMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct {
@@ -35,8 +62,7 @@ func TestFusedConvBiasMatchesUnfused(t *testing.T) {
 			conv := nn.NewConv2D(tc.stride, tc.pad, 1)
 
 			fout := fused.Forward([]*tensor.Tensor{x, w, bias})
-			ref := nn.BiasAdd{}.Forward([]*tensor.Tensor{
-				conv.Forward([]*tensor.Tensor{x, w}), bias})
+			ref := biasAdd(conv.Forward([]*tensor.Tensor{x, w}), bias)
 			if tc.relu {
 				ref = nn.ReLU{}.Forward([]*tensor.Tensor{ref})
 			}
@@ -49,22 +75,22 @@ func TestFusedConvBiasMatchesUnfused(t *testing.T) {
 				}
 			}
 
-			// Backward against the op-by-op chain (each op is independently
-			// grad-checked), with a non-uniform upstream gradient.
+			// Backward against the op-by-op chain (conv and ReLU are
+			// independently grad-checked; the bias step is written out in
+			// biasAdd), with a non-uniform upstream gradient.
 			gradOut := tensor.RandNormal(ref.Shape(), 0, 1, rng)
 			fgrads := fused.Backward([]*tensor.Tensor{x, w, bias}, fout, gradOut)
 
 			h1 := conv.Forward([]*tensor.Tensor{x, w})
-			h2 := nn.BiasAdd{}.Forward([]*tensor.Tensor{h1, bias})
+			h2 := biasAdd(h1, bias)
 			g := gradOut
 			if tc.relu {
 				out := nn.ReLU{}.Forward([]*tensor.Tensor{h2})
 				g = nn.ReLU{}.Backward([]*tensor.Tensor{h2}, out, gradOut)[0]
 			}
-			bgrads := nn.BiasAdd{}.Backward([]*tensor.Tensor{h1, bias}, h2, g)
-			cgrads := conv.Backward([]*tensor.Tensor{x, w}, h1, bgrads[0])
+			cgrads := conv.Backward([]*tensor.Tensor{x, w}, h1, g)
 
-			refGrads := []*tensor.Tensor{cgrads[0], cgrads[1], bgrads[1]}
+			refGrads := []*tensor.Tensor{cgrads[0], cgrads[1], biasGrad(g)}
 			names := []string{"x", "w", "bias"}
 			for gi, rg := range refGrads {
 				fg := fgrads[gi]

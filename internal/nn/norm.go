@@ -180,7 +180,7 @@ func (b *BatchNorm) forwardPerSample(x, gamma, beta *tensor.Tensor, wsp *tensor.
 }
 
 // perSampleBNForward is the one per-sample inference normalization kernel,
-// shared by BatchNorm (PerSample mode) and FusedBNReLU so the
+// shared by BatchNorm (PerSample mode) and fusedBNReLU so the
 // bit-compatibility contract lives in a single place: the accumulation and
 // normalization arithmetic is element-for-element identical to the
 // train-mode path at batch 1 (same summation order, same float64

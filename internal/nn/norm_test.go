@@ -79,7 +79,7 @@ func TestFusedBNReLUMatchesBatchNormReLU(t *testing.T) {
 	const eps = 1e-5
 	bn := &BatchNorm{Eps: eps, PerSample: true}
 	want := ReLU{}.Forward([]*tensor.Tensor{bn.Forward([]*tensor.Tensor{x, gamma, beta})})
-	got := (&FusedBNReLU{Eps: eps}).Forward([]*tensor.Tensor{x, gamma, beta})
+	got := (&fusedBNReLU{Eps: eps}).Forward([]*tensor.Tensor{x, gamma, beta})
 	for i, v := range want.Data() {
 		if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
 			t.Fatalf("element %d (channel %d): fused %v (%#08x), BatchNorm+ReLU %v (%#08x)",

@@ -88,91 +88,6 @@ func (ReLU) Categories() (graph.Category, graph.Category) {
 	return graph.CatForwardPointwise, graph.CatBackwardPointwise
 }
 
-// BiasAdd adds a per-channel bias vector b[C] to an NCHW activation.
-type BiasAdd struct{}
-
-// Name implements graph.Op.
-func (BiasAdd) Name() string { return "bias_add" }
-
-// OutShape implements graph.Op.
-func (BiasAdd) OutShape(in []tensor.Shape) (tensor.Shape, error) {
-	if len(in) != 2 {
-		return nil, fmt.Errorf("bias_add wants 2 inputs (x, b)")
-	}
-	x, b := in[0], in[1]
-	if x.Rank() != 4 || b.Rank() != 1 || b[0] != x[1] {
-		return nil, fmt.Errorf("bias_add shapes %v, %v incompatible", x, b)
-	}
-	return x.Clone(), nil
-}
-
-// Forward implements graph.Op.
-func (b BiasAdd) Forward(in []*tensor.Tensor) *tensor.Tensor {
-	return b.ForwardScratch(in, heapWS)
-}
-
-// ForwardScratch implements graph.ScratchOp.
-func (BiasAdd) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspace) *tensor.Tensor {
-	x, b := in[0], in[1]
-	xs := x.Shape()
-	n, c, hw := xs[0], xs[1], xs[2]*xs[3]
-	out := wsp.NewTensorUninit(xs)
-	xd, od, bd := x.Data(), out.Data(), b.Data()
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * hw
-			bv := bd[ch]
-			src := xd[base : base+hw]
-			row := od[base : base+hw]
-			for j, v := range src {
-				row[j] = v + bv
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements graph.Op.
-func (b BiasAdd) Backward(in []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
-	return b.BackwardScratch(in, out, gradOut, heapWS)
-}
-
-// BackwardScratch implements graph.ScratchOp.
-func (BiasAdd) BackwardScratch(in []*tensor.Tensor, out, gradOut *tensor.Tensor, wsp *tensor.Workspace) []*tensor.Tensor {
-	xs := in[0].Shape()
-	n, c, hw := xs[0], xs[1], xs[2]*xs[3]
-	gradB := wsp.NewTensorUninit(tensor.Shape{c})
-	gd, gb := gradOut.Data(), gradB.Data()
-	for ch := 0; ch < c; ch++ {
-		var s float64
-		for i := 0; i < n; i++ {
-			base := (i*c + ch) * hw
-			for _, v := range gd[base : base+hw] {
-				s += float64(v)
-			}
-		}
-		gb[ch] = float32(s)
-	}
-	gradX := wsp.NewTensorUninit(xs)
-	copy(gradX.Data(), gd)
-	return []*tensor.Tensor{gradX, gradB}
-}
-
-// FwdCost implements graph.Op.
-func (BiasAdd) FwdCost(in []tensor.Shape, out tensor.Shape, eb int) graph.Cost {
-	return pointwiseCost(out.NumElements(), 2, 1, eb)
-}
-
-// BwdCost implements graph.Op.
-func (BiasAdd) BwdCost(in []tensor.Shape, out tensor.Shape, eb int) graph.Cost {
-	return pointwiseCost(out.NumElements(), 2, 1, eb)
-}
-
-// Categories implements graph.Op.
-func (BiasAdd) Categories() (graph.Category, graph.Category) {
-	return graph.CatForwardPointwise, graph.CatBackwardPointwise
-}
-
 // Add is the elementwise residual addition used by ResNet blocks.
 type Add struct{}
 

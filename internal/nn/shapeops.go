@@ -106,102 +106,6 @@ func (Concat) Categories() (graph.Category, graph.Category) {
 	return graph.CatCopyTranspose, graph.CatCopyTranspose
 }
 
-// Upsample2x performs nearest-neighbour spatial upsampling by an integer
-// factor. Tiramisu's up path and ASPP image features use learned deconvs in
-// this codebase, but the op is provided for decoder variants and for
-// broadcasting pooled ASPP features back to the grid.
-type Upsample2x struct {
-	Factor int
-}
-
-// NewUpsample returns a nearest-neighbour upsampler.
-func NewUpsample(factor int) *Upsample2x {
-	if factor < 1 {
-		panic("nn: upsample factor must be ≥1")
-	}
-	return &Upsample2x{Factor: factor}
-}
-
-// Name implements graph.Op.
-func (u *Upsample2x) Name() string { return "upsample" }
-
-// OutShape implements graph.Op.
-func (u *Upsample2x) OutShape(in []tensor.Shape) (tensor.Shape, error) {
-	if len(in) != 1 || in[0].Rank() != 4 {
-		return nil, fmt.Errorf("upsample wants one rank-4 input")
-	}
-	s := in[0]
-	return tensor.NCHW(s[0], s[1], s[2]*u.Factor, s[3]*u.Factor), nil
-}
-
-// Forward implements graph.Op.
-func (u *Upsample2x) Forward(in []*tensor.Tensor) *tensor.Tensor {
-	return u.ForwardScratch(in, heapWS)
-}
-
-// ForwardScratch implements graph.ScratchOp.
-func (u *Upsample2x) ForwardScratch(in []*tensor.Tensor, wsp *tensor.Workspace) *tensor.Tensor {
-	x := in[0]
-	xs := x.Shape()
-	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
-	f := u.Factor
-	out := wsp.NewTensorUninit(tensor.NCHW(n, c, h*f, w*f))
-	xd, od := x.Data(), out.Data()
-	ow := w * f
-	for img := 0; img < n*c; img++ {
-		src := xd[img*h*w:]
-		dst := od[img*h*f*ow:]
-		for y := 0; y < h*f; y++ {
-			sy := y / f
-			for xo := 0; xo < ow; xo++ {
-				dst[y*ow+xo] = src[sy*w+xo/f]
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements graph.Op: gradients of replicated pixels sum.
-func (u *Upsample2x) Backward(in []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
-	return u.BackwardScratch(in, out, gradOut, heapWS)
-}
-
-// BackwardScratch implements graph.ScratchOp.
-func (u *Upsample2x) BackwardScratch(in []*tensor.Tensor, out, gradOut *tensor.Tensor, wsp *tensor.Workspace) []*tensor.Tensor {
-	xs := in[0].Shape()
-	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
-	f := u.Factor
-	gradX := wsp.NewTensor(xs) // zeroed: replicated pixels accumulate
-	gd, gx := gradOut.Data(), gradX.Data()
-	ow := w * f
-	for img := 0; img < n*c; img++ {
-		src := gd[img*h*f*ow:]
-		dst := gx[img*h*w:]
-		for y := 0; y < h*f; y++ {
-			sy := y / f
-			for xo := 0; xo < ow; xo++ {
-				dst[sy*w+xo/f] += src[y*ow+xo]
-			}
-		}
-	}
-	return []*tensor.Tensor{gradX}
-}
-
-// FwdCost implements graph.Op.
-func (u *Upsample2x) FwdCost(in []tensor.Shape, out tensor.Shape, eb int) graph.Cost {
-	return graph.Cost{FLOPs: 0, Bytes: float64(in[0].NumElements()+out.NumElements()) * float64(eb)}
-}
-
-// BwdCost implements graph.Op.
-func (u *Upsample2x) BwdCost(in []tensor.Shape, out tensor.Shape, eb int) graph.Cost {
-	return graph.Cost{FLOPs: float64(out.NumElements()), Bytes: float64(in[0].NumElements()+out.NumElements()) * float64(eb)}
-}
-
-// Categories implements graph.Op.
-func (u *Upsample2x) Categories() (graph.Category, graph.Category) {
-	return graph.CatCopyTranspose, graph.CatCopyTranspose
-}
-
 // Identity copies its input — a stand-in for the layout copies/transposes
 // TensorFlow inserts, letting graphs model that traffic explicitly (the
 // paper removed some of these for a 10% gain at scale).

@@ -10,14 +10,14 @@ import "repro/internal/tensor"
 // per-rank workspace instead (see graph.ScratchOp).
 var heapWS = tensor.NewWorkspace(nil)
 
-// ReleaseCaches implements graph.CachedOp: drops the argmax index map.
+// ReleaseCaches implements graph's cachedOp: drops the argmax index map.
 func (m *MaxPool2D) ReleaseCaches() { m.idx = nil }
 
-// ReleaseCaches implements graph.CachedOp: drops the saved batch
+// ReleaseCaches implements graph's cachedOp: drops the saved batch
 // statistics (running statistics are model state and are kept).
 func (b *BatchNorm) ReleaseCaches() {
 	b.savedMean, b.savedVar, b.savedValid = nil, nil, false
 }
 
-// ReleaseCaches implements graph.CachedOp: drops the dropout mask.
+// ReleaseCaches implements graph's cachedOp: drops the dropout mask.
 func (d *Dropout) ReleaseCaches() { d.mask = nil }

@@ -2,11 +2,10 @@ package perfmodel
 
 import "math"
 
-// This file models the paper's extension topics: strong scaling (Section
-// III mentions it as the fallback when large-batch hyperparameters cannot
-// be found), the model-parallel domain decomposition the paper names as
-// indispensable for future exascale machines (Section VIII-B), and the
-// learning-rate scaling rule implied by the Figure 6 run labels.
+// This file models two of the paper's extension topics: strong scaling
+// (Section III mentions it as the fallback when large-batch
+// hyperparameters cannot be found) and the learning-rate scaling rule
+// implied by the Figure 6 run labels.
 
 // StrongScalingAt evaluates the model with a FIXED global batch spread over
 // n GPUs: per-GPU work shrinks as 1/n while communication and fixed
@@ -31,60 +30,6 @@ func (s ScalingConfig) StrongScalingAt(nGPUs, globalBatch int) Point {
 		PeakPFps:   images * flopsPerSample / 1e15,
 		Efficiency: (singleStep / float64(nGPUs)) / step,
 	}
-}
-
-// ModelParallelConfig describes a spatial domain decomposition of one
-// sample across the GPUs of a node (Section VIII-B): each GPU holds a
-// horizontal stripe of the activations and exchanges halo rows with its
-// neighbours over NVLink after every convolution layer.
-type ModelParallelConfig struct {
-	Machine Machine
-	// Height/Width of the input; Channels of a typical deep layer.
-	Height, Width, Channels int
-	// HaloRows is the exchange depth per layer (kernel radius; 2 for the
-	// 5×5 convolutions of the modified Tiramisu).
-	HaloRows int
-	// Layers is the number of convolution layers exchanging halos.
-	Layers int
-	// ElemBytes is the activation precision width.
-	ElemBytes int
-}
-
-// HaloBytesPerStep returns the total halo traffic one GPU exchanges per
-// training step (forward + backward, two neighbours).
-func (m ModelParallelConfig) HaloBytesPerStep() float64 {
-	perLayer := float64(2 /*neighbours*/ * 2 /*fwd+bwd*/ * m.HaloRows * m.Width * m.Channels * m.ElemBytes)
-	return perLayer * float64(m.Layers)
-}
-
-// Speedup returns the modeled speedup of splitting one sample across ways
-// GPUs versus computing it on one GPU, given the single-GPU step time.
-// Compute divides by `ways`; halo exchanges add NVLink time per layer.
-func (m ModelParallelConfig) Speedup(singleGPUStep float64, ways int) float64 {
-	if ways <= 1 {
-		return 1
-	}
-	compute := singleGPUStep / float64(ways)
-	halo := m.HaloBytesPerStep()/m.Machine.NVLinkBW +
-		float64(m.Layers)*4*m.Machine.NetLatency
-	return singleGPUStep / (compute + halo)
-}
-
-// Efficiency returns Speedup/ways.
-func (m ModelParallelConfig) Efficiency(singleGPUStep float64, ways int) float64 {
-	return m.Speedup(singleGPUStep, ways) / float64(ways)
-}
-
-// BestWays returns the GPU count (1..maxWays) maximizing speedup — the
-// point past which halo exchange swamps the compute saving.
-func (m ModelParallelConfig) BestWays(singleGPUStep float64, maxWays int) int {
-	best, bestS := 1, 1.0
-	for w := 2; w <= maxWays; w++ {
-		if s := m.Speedup(singleGPUStep, w); s > bestS {
-			best, bestS = w, s
-		}
-	}
-	return best
 }
 
 // PaperLR returns the learning rate the paper used at a given GPU count,

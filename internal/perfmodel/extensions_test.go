@@ -31,65 +31,6 @@ func TestStrongScalingDecaysFasterThanWeak(t *testing.T) {
 	}
 }
 
-func TestModelParallelSweetSpot(t *testing.T) {
-	// Splitting the paper-size sample across Summit's 6 NVLink GPUs:
-	// speedup must be >1 (NVLink is fast relative to the halo volume) but
-	// sub-linear, and efficiency must decline with ways.
-	s := summitDeepLabFP16(t, 1)
-	single := s.BaseStep()
-	mp := perfmodel.ModelParallelConfig{
-		Machine: perfmodel.Summit(),
-		Height:  768, Width: 1152, Channels: 256,
-		HaloRows: 2, Layers: 60, ElemBytes: 2,
-	}
-	prevEff := 1.1
-	for _, ways := range []int{2, 3, 6} {
-		sp := mp.Speedup(single, ways)
-		eff := mp.Efficiency(single, ways)
-		t.Logf("%d-way model parallel: %.2fx speedup, %.1f%% efficiency", ways, sp, eff*100)
-		if sp <= 1 || sp >= float64(ways) {
-			t.Fatalf("%d-way speedup %.2f outside (1, ways)", ways, sp)
-		}
-		if eff >= prevEff {
-			t.Fatalf("efficiency should decline with ways")
-		}
-		prevEff = eff
-	}
-	if mp.Speedup(single, 1) != 1 {
-		t.Fatal("1-way must be unity")
-	}
-	if mp.HaloBytesPerStep() <= 0 {
-		t.Fatal("halo traffic must be positive")
-	}
-}
-
-func TestModelParallelBreaksDownOnSlowFabric(t *testing.T) {
-	// The same decomposition over the inter-node network (what the paper
-	// says requires "investments in more complex collectives") has a much
-	// earlier sweet spot.
-	s := summitDeepLabFP16(t, 1)
-	single := s.BaseStep()
-	slow := perfmodel.Summit()
-	slow.NVLinkBW = slow.InjectionBW / 4 // pretend halos cross IB per-NIC
-	slow.NetLatency *= 20
-	mp := perfmodel.ModelParallelConfig{
-		Machine: slow,
-		Height:  768, Width: 1152, Channels: 256,
-		HaloRows: 2, Layers: 60, ElemBytes: 2,
-	}
-	fast := mp
-	fast.Machine = perfmodel.Summit()
-	bFast := fast.BestWays(single, 16)
-	bSlow := mp.BestWays(single, 16)
-	t.Logf("best ways: NVLink %d, slow fabric %d", bFast, bSlow)
-	if bSlow > bFast {
-		t.Fatal("slower fabric should not prefer more ways")
-	}
-	if mp.Speedup(single, 6) >= fast.Speedup(single, 6) {
-		t.Fatal("slow fabric must reduce 6-way speedup")
-	}
-}
-
 func TestPaperLRMatchesFig6Labels(t *testing.T) {
 	cases := map[int]float64{384: 0.0001, 1536: 0.0064, 6144: 0.4096}
 	for gpus, want := range cases {

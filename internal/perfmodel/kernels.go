@@ -7,12 +7,12 @@ import (
 	"repro/internal/graph"
 )
 
-// Efficiency is a kernel category's achievable fraction of roofline peaks:
+// efficiency is a kernel category's achievable fraction of roofline peaks:
 // Math applies to the compute peak, Mem to DRAM bandwidth. A kernel's time
 // is max(flops/(peak·Math), bytes/(bw·Mem)) — whichever resource saturates
 // first. Values are calibrated against the utilization columns of the
 // paper's Figs 8 and 9.
-type Efficiency struct {
+type efficiency struct {
 	Math, Mem float64
 }
 
@@ -20,39 +20,39 @@ type Efficiency struct {
 // FP16 convolutions on Tensor Cores reach a lower fraction of their much
 // higher peak (the paper's FP16 %math columns: 21–52% vs 52–103% FP32);
 // pointwise kernels are bandwidth-bound at ~45–80% of DRAM peak.
-func categoryEff(cat graph.Category, p graph.Precision) Efficiency {
+func categoryEff(cat graph.Category, p graph.Precision) efficiency {
 	fp16 := p == graph.FP16
 	switch cat {
 	case graph.CatForwardConv:
 		if fp16 {
-			return Efficiency{Math: 0.44, Mem: 0.37}
+			return efficiency{Math: 0.44, Mem: 0.37}
 		}
-		return Efficiency{Math: 0.78, Mem: 0.35}
+		return efficiency{Math: 0.78, Mem: 0.35}
 	case graph.CatBackwardConv:
 		if fp16 {
-			return Efficiency{Math: 0.42, Mem: 0.35}
+			return efficiency{Math: 0.42, Mem: 0.35}
 		}
-		return Efficiency{Math: 1.00, Mem: 0.30}
+		return efficiency{Math: 1.00, Mem: 0.30}
 	case graph.CatForwardPointwise, graph.CatBackwardPointwise:
 		if fp16 {
-			return Efficiency{Math: 0.02, Mem: 0.55}
+			return efficiency{Math: 0.02, Mem: 0.55}
 		}
-		return Efficiency{Math: 0.02, Mem: 0.75}
+		return efficiency{Math: 0.02, Mem: 0.75}
 	case graph.CatOptimizer:
-		return Efficiency{Math: 0.01, Mem: 0.30}
+		return efficiency{Math: 0.01, Mem: 0.30}
 	case graph.CatCopyTranspose:
 		if fp16 {
-			return Efficiency{Math: 0.01, Mem: 0.52}
+			return efficiency{Math: 0.01, Mem: 0.52}
 		}
-		return Efficiency{Math: 0.01, Mem: 0.70}
+		return efficiency{Math: 0.01, Mem: 0.70}
 	case graph.CatAllreduce:
 		// NCCL intra-node kernels are NVLink-bound, not DRAM-bound; the
 		// low Mem fraction mirrors the ~1–3% DRAM utilization in Figs 8/9.
-		return Efficiency{Math: 0.01, Mem: 0.02}
+		return efficiency{Math: 0.01, Mem: 0.02}
 	case graph.CatTypeConversion:
-		return Efficiency{Math: 0.01, Mem: 0.45}
+		return efficiency{Math: 0.01, Mem: 0.45}
 	}
-	return Efficiency{Math: 0.5, Mem: 0.5}
+	return efficiency{Math: 0.5, Mem: 0.5}
 }
 
 // CategoryRow is one line of the Fig 3/8/9 kernel tables.

@@ -33,21 +33,21 @@ type Source interface {
 	Meta() (channels, height, width int)
 }
 
-// GeneratorSource wraps the procedural climate generator as a Source.
-type GeneratorSource struct {
+// generatorSource wraps the procedural climate generator as a Source.
+type generatorSource struct {
 	Dataset *climate.Dataset
 }
 
 // NumSamples implements Source.
-func (g GeneratorSource) NumSamples() int { return g.Dataset.Size }
+func (g generatorSource) NumSamples() int { return g.Dataset.Size }
 
 // Meta implements Source.
-func (g GeneratorSource) Meta() (int, int, int) {
+func (g generatorSource) Meta() (int, int, int) {
 	return climate.NumChannels, g.Dataset.Cfg.Height, g.Dataset.Cfg.Width
 }
 
 // Load implements Source.
-func (g GeneratorSource) Load(_, i int) (*tensor.Tensor, *tensor.Tensor, error) {
+func (g generatorSource) Load(_, i int) (*tensor.Tensor, *tensor.Tensor, error) {
 	s := g.Dataset.Sample(i)
 	return s.Fields, s.Labels, nil
 }

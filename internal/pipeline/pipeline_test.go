@@ -11,8 +11,8 @@ import (
 	"repro/internal/tensor"
 )
 
-func genSource(n int) GeneratorSource {
-	return GeneratorSource{Dataset: climate.NewDataset(climate.DefaultGenConfig(32, 48, 3), n)}
+func genSource(n int) generatorSource {
+	return generatorSource{Dataset: climate.NewDataset(climate.DefaultGenConfig(32, 48, 3), n)}
 }
 
 func TestPipelineProducesBatches(t *testing.T) {

@@ -64,10 +64,6 @@ func forced() bool {
 // (independent of the runtime switch).
 func HasAVX2() bool { return hasAVX2 }
 
-// HasF16C reports whether the hardware supports the F16C FP16 converters
-// (independent of the runtime switch).
-func HasF16C() bool { return hasF16C }
-
 // UseAVX2 reports whether the AVX2+FMA kernels should run right now:
 // hardware support and the runtime switch both allow it.
 func UseAVX2() bool { return hasAVX2 && !forced() }
@@ -89,6 +85,3 @@ func SetDisabled(d bool) bool {
 	}
 	return prev == switchDisabled
 }
-
-// Disabled reports whether the runtime switch currently forces scalar.
-func Disabled() bool { return forced() }

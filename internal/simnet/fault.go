@@ -81,7 +81,7 @@ func (f *FaultFabric) FailedAsOf(rank, step int) bool {
 // new fabric starts with an empty failure schedule (the dead nodes are out
 // of the view; fresh failures can be scheduled against the survivors).
 func (f *FaultFabric) Shrink() *FaultFabric {
-	var surv []int
+	surv := []int{} // non-nil: a nil rank list means the whole base fabric
 	for r := 0; r < f.Size(); r++ {
 		if _, failed := f.failAt[f.NodeOf(r)]; !failed {
 			surv = append(surv, f.baseRank(r))

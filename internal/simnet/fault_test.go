@@ -67,3 +67,16 @@ func TestFaultFabricScheduleAndShrink(t *testing.T) {
 	}()
 	ff.FailNode(4, 0)
 }
+
+// TestFaultFabricShrinkToNothing: when every node failed, the survivor
+// world is empty, not the whole base fabric again.
+func TestFaultFabricShrinkToNothing(t *testing.T) {
+	ff := NewFaultFabric(NewTwoLevelFabric(2, 1,
+		LinkSpec{LatencySec: 1e-6, BytesPerSec: 150e9},
+		LinkSpec{LatencySec: 1.5e-6, BytesPerSec: 12.5e9}))
+	ff.FailNode(0, 3)
+	ff.FailNode(1, 3)
+	if n := ff.Shrink().Size(); n != 0 {
+		t.Fatalf("survivors=%d after every node failed, want 0", n)
+	}
+}

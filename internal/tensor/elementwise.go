@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// Axpy computes y += alpha*x over the raw slices (BLAS saxpy).
-func Axpy(alpha float32, x, y []float32) {
+// axpy computes y += alpha*x over the raw slices (BLAS saxpy).
+func axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(x), len(y)))
+		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	if chunks := fanout(len(x), 12*len(x)); chunks > 1 {
 		parallelFor(len(x), chunks, func(lo, hi int) { axpyRange(alpha, x, y, lo, hi) })
@@ -47,15 +47,15 @@ func scaleRange(alpha float32, x []float32, lo, hi int) {
 	}
 }
 
-// Dot returns the inner product of x and y, accumulated in float64, with
+// dot returns the inner product of x and y, accumulated in float64, with
 // the same bits under every ISA. Each float32 product is exact in float64,
 // so only the summation order matters, and both ISAs use one: below 32
 // elements, in order; from 32 on, dotAVX2's eight lanes — lane l sums
 // elements 8i+l — reduced as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), then
 // the n mod 8 tail in order.
-func Dot(x, y []float32) float64 {
+func dot(x, y []float32) float64 {
 	if len(x) != len(y) {
-		panic("tensor: Dot length mismatch")
+		panic("tensor: dot length mismatch")
 	}
 	if sum, ok := simdDot(x, y); ok {
 		return sum
@@ -81,45 +81,8 @@ func Dot(x, y []float32) float64 {
 
 // L2Norm returns the Euclidean norm of x, accumulated in float64 for
 // stability (LARC depends on accurate norms of large weight tensors), in
-// Dot's order.
-func L2Norm(x []float32) float64 { return math.Sqrt(Dot(x, x)) }
-
-// Sum returns the sum of all elements, accumulated in float64.
-func Sum(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty input).
-func MaxAbs(x []float32) float32 {
-	var m float32
-	for _, v := range x {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Add returns a new tensor a+b (shapes must match elementwise).
-func Add(a, b *Tensor) *Tensor {
-	checkSameLen(a, b, "Add")
-	out := New(a.shape)
-	ad, bd, od := a.data, b.data, out.data
-	parallelFor(len(ad), fanout(len(ad), 12*len(ad)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = ad[i] + bd[i]
-		}
-	})
-	return out
-}
+// dot's order.
+func L2Norm(x []float32) float64 { return math.Sqrt(dot(x, x)) }
 
 // Sub returns a-b.
 func Sub(a, b *Tensor) *Tensor {
@@ -134,52 +97,10 @@ func Sub(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns the Hadamard (elementwise) product a*b.
-func Mul(a, b *Tensor) *Tensor {
-	checkSameLen(a, b, "Mul")
-	out := New(a.shape)
-	ad, bd, od := a.data, b.data, out.data
-	parallelFor(len(ad), fanout(len(ad), 12*len(ad)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = ad[i] * bd[i]
-		}
-	})
-	return out
-}
-
 // AddInPlace computes a += b.
 func AddInPlace(a, b *Tensor) {
 	checkSameLen(a, b, "AddInPlace")
-	Axpy(1, b.data, a.data)
-}
-
-// ReLU returns max(x, 0) elementwise.
-func ReLU(x *Tensor) *Tensor {
-	out := New(x.shape)
-	xd, od := x.data, out.data
-	parallelFor(len(xd), fanout(len(xd), 8*len(xd)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if xd[i] > 0 {
-				od[i] = xd[i]
-			}
-		}
-	})
-	return out
-}
-
-// ReLUGrad returns grad masked by (x > 0).
-func ReLUGrad(x, grad *Tensor) *Tensor {
-	checkSameLen(x, grad, "ReLUGrad")
-	out := New(x.shape)
-	xd, gd, od := x.data, grad.data, out.data
-	parallelFor(len(xd), fanout(len(xd), 12*len(xd)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if xd[i] > 0 {
-				od[i] = gd[i]
-			}
-		}
-	})
-	return out
+	axpy(1, b.data, a.data)
 }
 
 func checkSameLen(a, b *Tensor, op string) {

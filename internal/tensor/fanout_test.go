@@ -51,18 +51,15 @@ func gatedCases(scalar bool) []gatedCase {
 	}
 	for _, n := range []int{gate/12 - 1, gate/12 + 1, gate/12 + 4099} {
 		x, y0 := noiseAt(7919, n), noiseAt(15838, n)
-		add("Axpy", n, 12*n, func() []float32 {
+		add("axpy", n, 12*n, func() []float32 {
 			y := append([]float32(nil), y0...)
-			Axpy(0.37, x, y)
+			axpy(0.37, x, y)
 			return y
 		})
 		if !scalar {
 			continue
 		}
-		add("Add", n, 12*n, func() []float32 { return Add(FromSlice(Shape{n}, x), FromSlice(Shape{n}, y0)).Data() })
 		add("Sub", n, 12*n, func() []float32 { return Sub(FromSlice(Shape{n}, x), FromSlice(Shape{n}, y0)).Data() })
-		add("Mul", n, 12*n, func() []float32 { return Mul(FromSlice(Shape{n}, x), FromSlice(Shape{n}, y0)).Data() })
-		add("ReLUGrad", n, 12*n, func() []float32 { return ReLUGrad(FromSlice(Shape{n}, x), FromSlice(Shape{n}, y0)).Data() })
 	}
 	for _, n := range []int{gate/8 - 1, gate / 8, gate/8 + 4099} {
 		x0 := noiseAt(23757, n)
@@ -71,9 +68,6 @@ func gatedCases(scalar bool) []gatedCase {
 			Scale(1.7, x)
 			return x
 		})
-		if scalar {
-			add("ReLU", n, 8*n, func() []float32 { return ReLU(FromSlice(Shape{n}, x0)).Data() })
-		}
 	}
 	// Blocked GEMM: 160 rows are two M blocks under both geometries, one
 	// K block of 256. The transposed variants differ only in the packing

@@ -441,18 +441,3 @@ func packB(transB bool, b []float32, ldb, jc, ncEff, pc, kcEff int, dst []float3
 		}
 	}
 }
-
-// MatMul multiplies two rank-2 tensors: (m×k)·(k×n) → m×n.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.shape.Rank() != 2 || b.shape.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
-	}
-	c := New(Shape{m, n})
-	Gemm(false, false, m, n, k, 1, a.data, k, b.data, n, 0, c.data, n)
-	return c
-}

@@ -10,7 +10,7 @@ import (
 )
 
 // Kernel parity suite for the AVX2 kernels. The precision contract has no
-// tolerance: every kernel — GEMM, Dot and L2Norm included — must give the
+// tolerance: every kernel — GEMM, dot and L2Norm included — must give the
 // same bits under the scalar and the AVX2 ISA.
 
 func withISA(t *testing.T, isa KernelISA) func() {
@@ -190,7 +190,7 @@ func TestGemmInt8ISAParity(t *testing.T) {
 	}
 }
 
-// TestElementwiseISAParity: Axpy/Scale/ScaleAllFinite use mul+add vector
+// TestElementwiseISAParity: axpy/Scale/ScaleAllFinite use mul+add vector
 // forms — bit-identical to the scalar loops for every length/alignment,
 // including non-finite inputs.
 func TestElementwiseISAParity(t *testing.T) {
@@ -209,14 +209,14 @@ func TestElementwiseISAParity(t *testing.T) {
 		ya := append([]float32(nil), y0...)
 		ys := append([]float32(nil), y0...)
 		restore := withISA(t, ISAAVX2)
-		Axpy(1.7, x, ya)
+		axpy(1.7, x, ya)
 		restore()
 		restore = withISA(t, ISAScalar)
-		Axpy(1.7, x, ys)
+		axpy(1.7, x, ys)
 		restore()
 		for i := range ya {
 			if math.Float32bits(ya[i]) != math.Float32bits(ys[i]) {
-				t.Fatalf("Axpy n=%d elem %d: avx2 %x scalar %x", n, i,
+				t.Fatalf("axpy n=%d elem %d: avx2 %x scalar %x", n, i,
 					math.Float32bits(ya[i]), math.Float32bits(ys[i]))
 			}
 		}
@@ -264,7 +264,7 @@ func TestTransposeISAParity(t *testing.T) {
 		rows, cols := tc[0], tc[1]
 		src := randomSlice(rng, rows*cols)
 		dst := make([]float32, rows*cols)
-		TransposeF32(src, rows, cols, dst)
+		transposeF32(src, rows, cols, dst)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
 				if math.Float32bits(dst[j*rows+i]) != math.Float32bits(src[i*cols+j]) {
@@ -275,7 +275,7 @@ func TestTransposeISAParity(t *testing.T) {
 	}
 }
 
-// TestDotISAParity: Dot and L2Norm sum in one order under both ISAs, so
+// TestDotISAParity: dot and L2Norm sum in one order under both ISAs, so
 // they agree bit for bit — below the vector path's 32-element floor, at
 // it, with every tail length, and long.
 func TestDotISAParity(t *testing.T) {
@@ -291,13 +291,13 @@ func TestDotISAParity(t *testing.T) {
 		x := randomSlice(rng, n)
 		y := randomSlice(rng, n)
 		restore := withISA(t, ISAAVX2)
-		got, gotN := Dot(x, y), L2Norm(x)
+		got, gotN := dot(x, y), L2Norm(x)
 		restore()
 		restore = withISA(t, ISAScalar)
-		want, wantN := Dot(x, y), L2Norm(x)
+		want, wantN := dot(x, y), L2Norm(x)
 		restore()
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Dot n=%d: avx2 %.17g scalar %.17g", n, got, want)
+			t.Fatalf("dot n=%d: avx2 %.17g scalar %.17g", n, got, want)
 		}
 		if math.Float64bits(gotN) != math.Float64bits(wantN) {
 			t.Fatalf("L2Norm n=%d: avx2 %.17g scalar %.17g", n, gotN, wantN)

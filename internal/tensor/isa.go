@@ -14,7 +14,7 @@ import (
 // Precision contract (DESIGN.md "SIMD kernels & worker pool"): every
 // kernel is BIT-IDENTICAL across ISAs. GEMM and the implicit-GEMM
 // convolutions have one numeric definition (see Gemm) that the scalar
-// kernel reproduces with an exact float32 FMA; Dot and L2Norm sum in one
+// kernel reproduces with an exact float32 FMA; dot and L2Norm sum in one
 // fixed order; elementwise kernels multiply and add with separate
 // roundings; FP16 conversions and INT8 kernels are exact. The ISA is a
 // speed choice only, so a run may resume, rescale or replay on either.
@@ -95,16 +95,6 @@ const (
 	avxNC = 2048
 )
 
-// KernelInfo describes the active kernel configuration for bench reports.
-type KernelInfo struct {
-	ISA     string `json:"isa"`
-	GemmMR  int    `json:"gemm_mr"`
-	GemmNR  int    `json:"gemm_nr"`
-	Workers int    `json:"workers"`
-	HasAVX2 bool   `json:"has_avx2"`
-	HasF16C bool   `json:"has_f16c"`
-}
-
 // FMAPeakProbe runs iters iterations of the synthetic FMA peak kernel —
 // 12 independent 8-lane FMA chains, 192 FLOPs per iteration, the
 // register-parallelism upper bound of one core — and reports whether it
@@ -112,19 +102,3 @@ type KernelInfo struct {
 // the %peak figures in BENCH files against measured rather than nominal
 // peak.
 func FMAPeakProbe(iters int) bool { return fmaPeakProbeRun(iters) }
-
-// Kernel reports the active kernel configuration.
-func Kernel() KernelInfo {
-	info := KernelInfo{
-		ISA:     ActiveISA().String(),
-		GemmMR:  gemmMR,
-		GemmNR:  gemmNR,
-		Workers: Parallelism(),
-		HasAVX2: simd.HasAVX2(),
-		HasF16C: simd.HasF16C(),
-	}
-	if ActiveISA() == ISAAVX2 {
-		info.GemmMR, info.GemmNR = avxMR, avxNR
-	}
-	return info
-}

@@ -36,23 +36,3 @@ func TestSetKernelISA(t *testing.T) {
 		t.Fatal("invalid ISA should error")
 	}
 }
-
-func TestKernelInfo(t *testing.T) {
-	info := Kernel()
-	if info.ISA != ActiveISA().String() {
-		t.Fatalf("KernelInfo ISA %q != active %q", info.ISA, ActiveISA())
-	}
-	switch ActiveISA() {
-	case ISAAVX2:
-		if info.GemmMR != avxMR || info.GemmNR != avxNR {
-			t.Fatalf("AVX2 KernelInfo geometry wrong: %+v", info)
-		}
-	case ISAScalar:
-		if info.GemmMR != gemmMR || info.GemmNR != gemmNR {
-			t.Fatalf("scalar KernelInfo geometry wrong: %+v", info)
-		}
-	}
-	if info.Workers != Parallelism() {
-		t.Fatalf("KernelInfo workers %d != %d", info.Workers, Parallelism())
-	}
-}

@@ -71,9 +71,6 @@ func NewPool() *Pool {
 // defaultPool backs any Workspace built with NewWorkspace(nil).
 var defaultPool = NewPool()
 
-// DefaultPool returns the shared package-level pool.
-func DefaultPool() *Pool { return defaultPool }
-
 // sizeClass returns the power-of-two bin for a request of n elements.
 func sizeClass(n int) uint {
 	if n <= 1 {
@@ -357,7 +354,7 @@ func (w *Workspace) tensorData(shape Shape) []float32 {
 	return w.pool.GetF32(n)
 }
 
-// NewWorkspace returns a workspace over the given pool (nil → DefaultPool).
+// NewWorkspace returns a workspace over the given pool (nil → the shared package-level pool).
 func NewWorkspace(p *Pool) *Workspace {
 	if p == nil {
 		p = defaultPool

@@ -98,7 +98,7 @@ func TestWorkspaceSidePools(t *testing.T) {
 	}
 	ws.PutF64(f64b)
 	ws.PutI32(i32b)
-	if NewWorkspace(nil).Pool() != DefaultPool() {
+	if NewWorkspace(nil).Pool() != defaultPool {
 		t.Fatal("nil workspace must fall back to the default pool")
 	}
 }

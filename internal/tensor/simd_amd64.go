@@ -114,7 +114,7 @@ func simdScaleAllFinite(alpha float32, x []float32) (ok, handled bool) {
 }
 
 // simdDot returns Σ float64(x[i])·float64(y[i]) in eight f64 lanes, in
-// the summation order Dot's scalar path repeats bit for bit.
+// the summation order dot's scalar path repeats bit for bit.
 func simdDot(x, y []float32) (float64, bool) {
 	n := len(x)
 	if n < 32 || !simd.UseAVX2() {

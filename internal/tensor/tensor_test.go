@@ -107,6 +107,15 @@ func TestInitializers(t *testing.T) {
 	}
 }
 
+// matMul multiplies two rank-2 tensors through the blocked GEMM:
+// (m×k)·(k×n) → m×n.
+func matMul(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape()[0], a.Shape()[1], b.Shape()[1]
+	c := New(Shape{m, n})
+	Gemm(false, false, m, n, k, 1, a.Data(), k, b.Data(), n, 0, c.Data(), n)
+	return c
+}
+
 // naiveMatMul is the O(n³) reference used to validate the blocked GEMM.
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k := a.Shape()[0], a.Shape()[1]
@@ -139,10 +148,10 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := RandNormal(Shape{m, k}, 0, 1, rng)
 		b := RandNormal(Shape{k, n}, 0, 1, rng)
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		want := naiveMatMul(a, b)
 		if !tensorsClose(got, want, 1e-4) {
-			t.Fatalf("MatMul mismatch at %v", dims)
+			t.Fatalf("Gemm mismatch at %v", dims)
 		}
 	}
 }
@@ -304,8 +313,8 @@ func TestCol2imAdjointProperty(t *testing.T) {
 		Im2col(x, C, g, ix)
 		cy := make([]float32, n)
 		Col2im(y, C, g, cy)
-		lhs := Dot(ix, y)
-		rhs := Dot(x, cy)
+		lhs := dot(ix, y)
+		rhs := dot(x, cy)
 		if math.Abs(lhs-rhs) > 1e-3*(1+math.Abs(lhs)) {
 			t.Fatalf("geom %d: adjoint violated: %g vs %g", gi, lhs, rhs)
 		}
@@ -315,27 +324,13 @@ func TestCol2imAdjointProperty(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice(Shape{4}, []float32{1, -2, 3, -4})
 	b := FromSlice(Shape{4}, []float32{10, 20, 30, 40})
-	if got := Add(a, b).Data(); got[0] != 11 || got[3] != 36 {
-		t.Fatalf("Add = %v", got)
-	}
 	if got := Sub(b, a).Data(); got[1] != 22 {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := Mul(a, b).Data(); got[2] != 90 {
-		t.Fatalf("Mul = %v", got)
-	}
-	r := ReLU(a)
-	if d := r.Data(); d[0] != 1 || d[1] != 0 || d[2] != 3 || d[3] != 0 {
-		t.Fatalf("ReLU = %v", d)
-	}
-	g := ReLUGrad(a, b)
-	if d := g.Data(); d[0] != 10 || d[1] != 0 || d[2] != 30 || d[3] != 0 {
-		t.Fatalf("ReLUGrad = %v", d)
-	}
 	y := []float32{1, 1, 1}
-	Axpy(2, []float32{1, 2, 3}, y)
+	axpy(2, []float32{1, 2, 3}, y)
 	if y[2] != 7 {
-		t.Fatalf("Axpy = %v", y)
+		t.Fatalf("axpy = %v", y)
 	}
 	Scale(0.5, y)
 	if y[2] != 3.5 {
@@ -343,12 +338,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 	if L2Norm([]float32{3, 4}) != 5 {
 		t.Fatal("L2Norm wrong")
-	}
-	if Sum([]float32{1, 2, 3}) != 6 {
-		t.Fatal("Sum wrong")
-	}
-	if MaxAbs([]float32{1, -9, 3}) != 9 {
-		t.Fatal("MaxAbs wrong")
 	}
 	if !AllFinite([]float32{1, 2}) || AllFinite([]float32{float32(math.NaN())}) ||
 		AllFinite([]float32{float32(math.Inf(1))}) {
@@ -371,9 +360,9 @@ func TestParallelismControl(t *testing.T) {
 	a := RandNormal(Shape{37, 23}, 0, 1, rng)
 	b := RandNormal(Shape{23, 31}, 0, 1, rng)
 	SetParallelism(1)
-	c1 := MatMul(a, b)
+	c1 := matMul(a, b)
 	SetParallelism(8)
-	c8 := MatMul(a, b)
+	c8 := matMul(a, b)
 	if !tensorsClose(c1, c8, 0) {
 		t.Fatal("GEMM result depends on parallelism")
 	}
@@ -388,8 +377,11 @@ func TestGemmPropertyLinearity(t *testing.T) {
 		a1 := RandNormal(Shape{m, k}, 0, 1, r)
 		a2 := RandNormal(Shape{m, k}, 0, 1, r)
 		b := RandNormal(Shape{k, n}, 0, 1, r)
-		lhs := MatMul(Add(a1, a2), b)
-		rhs := Add(MatMul(a1, b), MatMul(a2, b))
+		sum := a1.Clone()
+		AddInPlace(sum, a2)
+		lhs := matMul(sum, b)
+		rhs := matMul(a1, b)
+		AddInPlace(rhs, matMul(a2, b))
 		return tensorsClose(lhs, rhs, 1e-3)
 	}
 	cfg := &quick.Config{MaxCount: 25, Rand: rng}

@@ -21,7 +21,7 @@ func NCHWToNHWC(x *Tensor) *Tensor {
 // NCHWToNHWCInto performs the layout change into caller-provided storage
 // (e.g. a workspace scratch buffer), writing every element of dst. Per
 // image this is a plain C×(H·W) matrix transpose, so it rides the blocked
-// TransposeF32 kernel (8×8 in-register tiles under AVX2).
+// transposeF32 kernel (8×8 in-register tiles under AVX2).
 func NCHWToNHWCInto(xd []float32, n, c, h, w int, dst []float32) {
 	transposeImages(xd, n, c, h*w, dst)
 }
@@ -57,18 +57,18 @@ func transposeImages(src []float32, n, rows, cols int, dst []float32) {
 func transposeRange(src []float32, rows, cols int, dst []float32, lo, hi int) {
 	sz := rows * cols
 	for img := lo; img < hi; img++ {
-		TransposeF32(src[img*sz:(img+1)*sz], rows, cols, dst[img*sz:(img+1)*sz])
+		transposeF32(src[img*sz:(img+1)*sz], rows, cols, dst[img*sz:(img+1)*sz])
 	}
 }
 
-// TransposeF32 writes the transpose of the rows×cols row-major matrix src
+// transposeF32 writes the transpose of the rows×cols row-major matrix src
 // into dst: dst[j*rows+i] = src[i*cols+j]. Pure data movement, bit-exact
 // under every ISA; the AVX2 path moves 8×8 tiles entirely in registers
 // (unpack → shuffle → 128-bit lane swap), turning a stride-c scatter into
 // contiguous line-width stores.
-func TransposeF32(src []float32, rows, cols int, dst []float32) {
+func transposeF32(src []float32, rows, cols int, dst []float32) {
 	if len(src) < rows*cols || len(dst) < rows*cols {
-		panic(fmt.Sprintf("tensor: TransposeF32 needs %d elements, have src %d dst %d",
+		panic(fmt.Sprintf("tensor: transposeF32 needs %d elements, have src %d dst %d",
 			rows*cols, len(src), len(dst)))
 	}
 	if simdTranspose(src, rows, cols, dst) {

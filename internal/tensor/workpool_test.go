@@ -54,7 +54,7 @@ func TestGatedKernelsInlineZeroAlloc(t *testing.T) {
 		"Gemm/bwdData": func() { Gemm(true, false, c*9, hw*hw, 32, 1, w, c*9, out, hw*hw, 0, cols, hw*hw) },
 		"Gemm/oneRow":  func() { Gemm(false, false, 1, hw*hw, c*9, 1, w, c*9, cols, hw*hw, 0, out, hw*hw) },
 		"GemmInt8":     func() { GemmInt8(32, hw*hw, c*9, wq, scales, colsQ, 1, out) },
-		"Axpy":         func() { Axpy(0.5, cols, cols) },
+		"axpy":         func() { axpy(0.5, cols, cols) },
 		"Scale":        func() { Scale(0.5, cols) },
 		"NCHWToNHWC":   func() { NCHWToNHWCInto(img, 4, c/4, hw, hw, nhwc) },
 		"NHWCToNCHW":   func() { NHWCToNCHWInto(nhwc, 4, c/4, hw, hw, img) },

@@ -10,7 +10,6 @@ import (
 	"image"
 	"image/color"
 	"image/png"
-	"io"
 	"math"
 	"os"
 
@@ -20,8 +19,8 @@ import (
 
 // Class colors follow the paper's Fig 7: ARs blue, TCs red.
 var (
-	ColorTC = color.RGBA{R: 220, G: 40, B: 40, A: 255}
-	ColorAR = color.RGBA{R: 50, G: 90, B: 220, A: 255}
+	colorTC = color.RGBA{R: 220, G: 40, B: 40, A: 255}
+	colorAR = color.RGBA{R: 50, G: 90, B: 220, A: 255}
 )
 
 // FieldImage renders a [H, W] scalar field with the paper's white→yellow
@@ -43,10 +42,10 @@ func FieldImage(field *tensor.Tensor) (*image.RGBA, error) {
 	return img, nil
 }
 
-// MaskImage renders a [H, W] class-label mask on a transparent background:
+// maskImage renders a [H, W] class-label mask on a transparent background:
 // background pixels are fully transparent, storm classes use the Fig 7
 // palette.
-func MaskImage(labels *tensor.Tensor) (*image.RGBA, error) {
+func maskImage(labels *tensor.Tensor) (*image.RGBA, error) {
 	ls := labels.Shape()
 	if ls.Rank() != 2 {
 		return nil, fmt.Errorf("viz: labels must be [H,W], got %v", ls)
@@ -57,9 +56,9 @@ func MaskImage(labels *tensor.Tensor) (*image.RGBA, error) {
 		for x := 0; x < w; x++ {
 			switch int(labels.At(y, x)) {
 			case climate.ClassTC:
-				img.SetRGBA(x, y, ColorTC)
+				img.SetRGBA(x, y, colorTC)
 			case climate.ClassAR:
-				img.SetRGBA(x, y, ColorAR)
+				img.SetRGBA(x, y, colorAR)
 			}
 		}
 	}
@@ -76,7 +75,7 @@ func Overlay(field, labels *tensor.Tensor, opacity float64) (*image.RGBA, error)
 	if err != nil {
 		return nil, err
 	}
-	mask, err := MaskImage(labels)
+	mask, err := maskImage(labels)
 	if err != nil {
 		return nil, err
 	}
@@ -146,9 +145,9 @@ func DrawTrack(img *image.RGBA, centroids [][2]float64, class int) {
 	if len(centroids) == 0 {
 		return
 	}
-	col := ColorTC
+	col := colorTC
 	if class == climate.ClassAR {
-		col = ColorAR
+		col = colorAR
 	}
 	w := img.Rect.Dx()
 	for i := 1; i < len(centroids); i++ {
@@ -191,11 +190,6 @@ func setWrapped(img *image.RGBA, y, x int, col color.RGBA, w int) {
 	}
 	x = ((x % w) + w) % w
 	img.SetRGBA(x, y, col)
-}
-
-// WritePNG encodes an image to w.
-func WritePNG(w io.Writer, img image.Image) error {
-	return png.Encode(w, img)
 }
 
 // SavePNG writes an image to a file.

@@ -1,8 +1,8 @@
 package viz
 
 import (
-	"bytes"
 	"image/png"
+	"os"
 	"testing"
 
 	"repro/internal/climate"
@@ -59,14 +59,14 @@ func TestMaskImageColors(t *testing.T) {
 		{0, 0}: climate.ClassTC,
 		{1, 1}: climate.ClassAR,
 	})
-	img, err := MaskImage(labels)
+	img, err := maskImage(labels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.RGBAAt(0, 0) != ColorTC {
+	if img.RGBAAt(0, 0) != colorTC {
 		t.Errorf("TC pixel rendered %v", img.RGBAAt(0, 0))
 	}
-	if img.RGBAAt(1, 1) != ColorAR {
+	if img.RGBAAt(1, 1) != colorAR {
 		t.Errorf("AR pixel rendered %v", img.RGBAAt(1, 1))
 	}
 	if img.RGBAAt(2, 2).A != 0 {
@@ -145,16 +145,20 @@ func TestWritePNGRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WritePNG(&buf, img); err != nil {
+	path := t.TempDir() + "/out.png"
+	if err := SavePNG(path, img); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := png.Decode(&buf)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := decoded.Bounds()
-	if b.Dx() != 32 || b.Dy() != 24 {
+	defer f.Close()
+	decoded, err := png.Decode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := decoded.Bounds(); b.Dx() != 32 || b.Dy() != 24 {
 		t.Errorf("decoded size %dx%d, want 32x24", b.Dx(), b.Dy())
 	}
 }

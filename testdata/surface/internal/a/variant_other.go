@@ -1,0 +1,6 @@
+//go:build !amd64
+
+package a
+
+// Variant has one declaration per build; the command reaches both.
+func Variant() int { return 0 }
